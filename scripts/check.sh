@@ -8,6 +8,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
+# The gate's benchmark receipts go to a scratch directory (gitignored,
+# uploaded by CI): the committed BENCH_*.json files are full recorded
+# runs that a smoke run must never overwrite.
+BENCH_OUT=bench-smoke
+mkdir -p "$BENCH_OUT"
+
 echo "== repro lint (REP001-REP607, 2 jobs) =="
 python -m repro.devtools.lint src --jobs 2
 
@@ -38,17 +44,17 @@ python benchmarks/bench_obs_overhead.py --smoke --trace-out trace-sample.jsonl
 
 echo "== out-of-core smoke (1e6-edge freeze+score, RSS/time budgets) =="
 python benchmarks/bench_parallel_scoring.py --scale 1000000 \
-    --rss-budget-mb 900 --time-budget 120 --output BENCH_scale.json
+    --rss-budget-mb 900 --time-budget 120 --output "$BENCH_OUT/BENCH_scale.json"
 
 echo "== service smoke (ephemeral port, query burst: 2xx + warm 304s, >=5x warm p50) =="
 python benchmarks/bench_service_qps.py --smoke --time-budget 120 \
-    --output BENCH_service.json
+    --output "$BENCH_OUT/BENCH_service.json"
 
 echo "== columnar scoring bench (10k groups, bitwise identity, >=3x) =="
-python benchmarks/bench_columnar_scoring.py --output BENCH_columnar.json
+python benchmarks/bench_columnar_scoring.py --output "$BENCH_OUT/BENCH_columnar.json"
 
 echo "== bench trajectory gate (>20% regression vs benchmarks/BASELINES.json) =="
-python scripts/bench_trajectory.py
+python scripts/bench_trajectory.py --root "$BENCH_OUT"
 
 echo "== tier-1 tests =="
 python -m pytest -x -q

@@ -65,7 +65,6 @@ from repro.data import (
     VertexGroup,
 )
 from repro.graph import CSRGraph, DiGraph, Graph, to_directed, to_undirected
-from repro.powerlaw import best_fit, fit_tail
 from repro.sampling import random_walk_set
 from repro.scoring import (
     GroupStats,
@@ -95,6 +94,26 @@ from repro.synth import (
 )
 
 __version__ = "1.0.0"
+
+#: Exports of ``repro.powerlaw``, resolved on first access (PEP 562): it
+#: imports scipy, about a second per process that only degree fitting
+#: needs, so ``score``, ``delta`` and ``serve`` must never load it.
+_POWERLAW_EXPORTS = ("best_fit", "fit_tail")
+
+
+def __getattr__(name: str):
+    if name not in _POWERLAW_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module("repro.powerlaw"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_POWERLAW_EXPORTS))
+
 
 # Opt-in runtime invariant checking: REPRO_CHECK_INVARIANTS=1 wraps every
 # mutating substrate method with a post-condition validation pass.  The

@@ -9,6 +9,7 @@ degree-distribution model per Clauset–Shalizi–Newman.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,7 +27,9 @@ from repro.data.datasets import Dataset
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
-from repro.powerlaw.comparison import ModelSelection, best_fit
+
+if TYPE_CHECKING:
+    from repro.powerlaw.comparison import ModelSelection
 
 __all__ = ["Characterization", "characterize", "table2_comparison"]
 
@@ -106,6 +109,10 @@ def characterize(
         fit_sequence = degree_sequence(graph)
     fit: ModelSelection | None = None
     if fit_degrees:
+        # Deferred: repro.powerlaw imports scipy, which nothing else on
+        # the score/delta/serve paths needs.
+        from repro.powerlaw.comparison import best_fit
+
         positive = fit_sequence[fit_sequence >= 1]
         # Fit the full distribution (xmin at the observed minimum), as the
         # paper's Fig. 3 does: deep-tail-only fits cannot distinguish a

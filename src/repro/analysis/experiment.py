@@ -115,11 +115,15 @@ def circles_vs_random(
     context = AnalysisContext.ensure(context if context is not None else graph)
 
     with obs.span("experiment.circles_vs_random"):
-        usable: list[VertexGroup] = []
-        for group in groups:
-            members = [node for node in group.members if node in context]
-            if len(members) >= min_group_size:
-                usable.append(group)
+        group_list = list(groups)
+        restricted = context.restrict(
+            [list(group.members) for group in group_list]
+        )
+        usable = [
+            group
+            for group, members in zip(group_list, restricted)
+            if len(members) >= min_group_size
+        ]
         usable_set = GroupSet(groups=usable, name=dataset_name)
 
         # One executor spans all three phases, so pool startup and the

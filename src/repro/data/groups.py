@@ -109,11 +109,19 @@ class GroupSet:
 
     groups: list[VertexGroup] = field(default_factory=list)
     name: str = ""
+    #: Names of ``groups``, kept in step by :meth:`add` so the uniqueness
+    #: check is O(1) and loading ``G`` groups stays linear.
+    _names: set[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [group.name for group in self.groups]
-        if len(set(names)) != len(names):
-            raise ValueError(f"group set {self.name!r} has duplicate group names")
+        self._names = set()
+        for group in self.groups:
+            if group.name in self._names:
+                raise ValueError(
+                    f"group set {self.name!r} has duplicate group name "
+                    f"{group.name!r}"
+                )
+            self._names.add(group.name)
 
     def __len__(self) -> int:
         return len(self.groups)
@@ -126,8 +134,9 @@ class GroupSet:
 
     def add(self, group: VertexGroup) -> None:
         """Append ``group``, enforcing name uniqueness."""
-        if any(existing.name == group.name for existing in self.groups):
+        if group.name in self._names:
             raise ValueError(f"duplicate group name {group.name!r}")
+        self._names.add(group.name)
         self.groups.append(group)
 
     def sizes(self) -> list[int]:

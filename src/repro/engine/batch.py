@@ -34,7 +34,7 @@ import numpy as np
 
 from repro import obs
 from repro.engine.context import AnalysisContext
-from repro.exceptions import EmptyGroupError, NodeNotFound
+from repro.exceptions import EmptyGroupError
 from repro.obs import instruments
 from repro.graph.csr import CSRGraph
 from repro.scoring.base import GroupStats
@@ -374,19 +374,11 @@ def _batch_member_columns(
     if not member_tuples:
         return None
 
-    # Map every label of the batch in one pass; on failure, find the
-    # offender for a precise error.
-    index_of = context.index_of
-    try:
-        ids_list = [index_of[label] for label in labels_flat]
-    except KeyError:
-        for label in labels_flat:
-            if label not in index_of:
-                raise NodeNotFound(label) from None
-        raise  # pragma: no cover - unreachable
+    # Map every label of the batch in one pass; the first unknown label
+    # raises NodeNotFound.
     table = _MemberTable(
         n,
-        np.asarray(ids_list, dtype=np.int64),
+        context.vertex_ids(labels_flat),
         np.asarray(sizes_list, dtype=np.int64),
     )
     if strategy == "auto":

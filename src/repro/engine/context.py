@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.obs import instruments
 from repro.graph.csr import (
     CSRDirWriter,
     CSRGraph,
+    IdentityIndex,
     _check_frozen_array,
     freeze_directed,
     is_identity_nodes,
@@ -307,10 +309,20 @@ class AnalysisContext:
         return label in self.csr.index_of
 
     def vertex_ids(self, labels: Iterable[Node]) -> np.ndarray:
-        """Map labels to integer vertex ids; unknown labels raise
-        :class:`~repro.exceptions.NodeNotFound`."""
+        """Map labels to integer vertex ids; the first unknown label
+        raises :class:`~repro.exceptions.NodeNotFound`."""
         index_of = self.csr.index_of
         labels = list(labels)
+        resolved = (
+            index_of.resolve(labels)
+            if isinstance(index_of, IdentityIndex)
+            else None
+        )
+        if resolved is not None:
+            ids, known = resolved
+            if not known.all():
+                raise NodeNotFound(labels[int(np.argmin(known))])
+            return ids
         try:
             ids = [index_of[label] for label in labels]
         except KeyError:
@@ -319,6 +331,36 @@ class AnalysisContext:
                     raise NodeNotFound(label) from None
             raise  # pragma: no cover - unreachable
         return np.asarray(ids, dtype=np.int64)
+
+    def restrict(self, member_lists: Sequence[list[Node]]) -> list[list[Node]]:
+        """Drop the labels absent from this context from every list.
+
+        Each list keeps its order; a list left empty stays in place, so
+        the caller decides what an emptied group means.  The result may
+        share lists with ``member_lists``.
+        """
+        index_of = self.csr.index_of
+        resolved = (
+            index_of.resolve(list(chain.from_iterable(member_lists)))
+            if isinstance(index_of, IdentityIndex)
+            else None
+        )
+        if resolved is None:
+            return [
+                [label for label in members if label in index_of]
+                for members in member_lists
+            ]
+        known = resolved[1]
+        if known.all():
+            return list(member_lists)
+        keep = known.tolist()
+        restricted: list[list[Node]] = []
+        start = 0
+        for members in member_lists:
+            stop = start + len(members)
+            restricted.append(list(compress(members, keep[start:stop])))
+            start = stop
+        return restricted
 
     def labels(self, vertex_ids: Sequence[int] | np.ndarray) -> list[Node]:
         """Map integer vertex ids back to node labels."""

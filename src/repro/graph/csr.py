@@ -115,6 +115,28 @@ class IdentityIndex(dict):
     def __contains__(self, key: object) -> bool:
         return isinstance(key, (int, np.integer)) and 0 <= int(key) < self._n
 
+    def resolve(
+        self, labels: Sequence[object]
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Answer :meth:`__contains__` and the lookup for every label at once.
+
+        Returns ``(ids, known)``: ``known[i]`` is ``labels[i] in self``
+        and ``ids[i]`` is that label's vertex id wherever ``known[i]``.
+        One numpy pass replaces a Python call per label.  Returns
+        ``None`` when a label is not a Python or numpy integer (bools
+        count, as ``isinstance`` says) or does not fit in int64; the
+        caller then takes the per-label path, so its verdicts and error
+        labels stay those of the dictionary protocol.
+        """
+        kinds = set(map(type, labels))
+        if not all(issubclass(kind, (int, np.integer)) for kind in kinds):
+            return None
+        try:
+            ids = np.fromiter(labels, dtype=np.int64, count=len(labels))
+        except OverflowError:
+            return None
+        return ids, (ids >= 0) & (ids < self._n)
+
 
 def is_identity_nodes(nodes: Sequence[Node]) -> bool:
     """Whether ``nodes`` is exactly the identity labelling ``0 .. n-1``.

@@ -229,17 +229,14 @@ def score_groups(
         )
         include_adjacency = _needs(functions, TriangleParticipationRatio)
 
-        names: list[str] = []
+        group_list = list(groups)
+        names = [group.name for group in group_list]
+        member_lists = [list(group.members) for group in group_list]
+        if restrict_to_graph:
+            restricted = context.restrict(member_lists)
+            names = [name for name, kept in zip(names, restricted) if kept]
+            member_lists = [kept for kept in restricted if kept]
         sizes: list[int] = []
-        member_lists: list[list[Node]] = []
-        for group in list(groups):
-            members = list(group.members)
-            if restrict_to_graph:
-                members = [node for node in members if node in context]
-                if not members:
-                    continue
-            names.append(group.name)
-            member_lists.append(members)
 
         tokens = function_tokens(functions)
         store = ResultCache.resolve(cache)

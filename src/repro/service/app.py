@@ -135,14 +135,11 @@ def _restrict_groups(
     ``repro score --mmap-dir`` run over the sidecar: members absent from
     the graph are dropped, groups emptied by the restriction skipped.
     """
-    names: list[str] = []
-    member_lists: list[list[Node]] = []
-    for group in groups:
-        members = [node for node in group.members if node in entry.context]
-        if not members:
-            continue
-        names.append(group.name)
-        member_lists.append(members)
+    restricted = entry.context.restrict(
+        [list(group.members) for group in groups]
+    )
+    names = [group.name for group, kept in zip(groups, restricted) if kept]
+    member_lists = [kept for kept in restricted if kept]
     if not names:
         raise HttpError(
             400, "every requested group is empty after graph restriction"

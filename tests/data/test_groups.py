@@ -3,6 +3,7 @@
 import pytest
 
 from repro.data.groups import Circle, Community, GroupSet, VertexGroup
+from repro.engine.delta import ContextDelta
 from repro.exceptions import EmptyGroupError
 
 
@@ -60,11 +61,13 @@ class TestGroupSet:
         assert [g.name for g in groups] == ["a", "b", "c"]
 
     def test_duplicate_names_rejected_at_init(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate group name 'x'"):
             GroupSet(
                 groups=[
+                    Community(name="y", members=frozenset({1})),
                     Community(name="x", members=frozenset({1})),
                     Community(name="x", members=frozenset({2})),
+                    Community(name="y", members=frozenset({3})),
                 ]
             )
 
@@ -74,6 +77,29 @@ class TestGroupSet:
             groups.add(Community(name="a", members=frozenset({1})))
         groups.add(Community(name="d", members=frozenset({1})))
         assert len(groups) == 4
+        with pytest.raises(ValueError, match="duplicate group name 'd'"):
+            groups.add(Community(name="d", members=frozenset({2})))
+        assert [g.name for g in groups] == ["a", "b", "c", "d"]
+
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            lambda groups: groups.filter_by_size(minimum=5),
+            lambda groups: groups.top_k(2),
+            lambda groups: groups.restrict_to(range(5)),
+            lambda groups: ContextDelta(
+                add_members=(("b", 8),)
+            ).apply_groups(groups),
+        ],
+        ids=["filter_by_size", "top_k", "restrict_to", "apply_groups"],
+    )
+    def test_derived_sets_enforce_uniqueness(self, derive):
+        derived = derive(self._sample())
+        kept = derived[0].name
+        with pytest.raises(ValueError, match=f"duplicate group name {kept!r}"):
+            derived.add(Community(name=kept, members=frozenset({1})))
+        derived.add(Community(name="fresh", members=frozenset({1})))
+        assert derived[-1].name == "fresh"
 
     def test_sizes(self):
         assert self._sample().sizes() == [10, 4, 7]
@@ -161,6 +187,18 @@ class TestGroupsJsonRoundTrip:
         path = tmp_path / "groups.json"
         path.write_text('{"format": "something-else"}', encoding="utf-8")
         with pytest.raises(FormatError, match="not a repro-groups"):
+            load_groups(path)
+
+    def test_load_rejects_repeated_names(self, tmp_path):
+        import json
+
+        from repro.data import load_groups, save_groups
+
+        path = save_groups(self._sample_set(), tmp_path / "groups.json")
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["groups"].append(dict(payload["groups"][1], members=["z"]))
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match="duplicate group name 'ring'"):
             load_groups(path)
 
     def test_load_rejects_newer_versions(self, tmp_path):

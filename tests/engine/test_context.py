@@ -1,12 +1,19 @@
 """AnalysisContext freeze-once contract and cached graph-wide quantities."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.data.groups import GroupSet, VertexGroup
 from repro.engine import AnalysisContext
 from repro.exceptions import GraphError, NodeNotFound
+from repro.graph.csr import IdentityIndex
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
+from repro.scoring import registry
 
 
 class TestFreezing:
@@ -122,3 +129,127 @@ class TestCachedQuantities:
             context.index_of[v]
         ])
         assert by_rank == sorted(context.nodes, key=repr)
+
+
+# -- bulk identity-label mapping ---------------------------------------------
+
+#: Vertices of the identity-labelled test graph (labels 0 .. N-1).
+N = 12
+
+_NEAR_RANGE = st.integers(min_value=-3, max_value=N + 3)
+#: Labels of integer type: the bulk pass answers these unless a value
+#: does not fit in int64.
+_INTEGER_LABELS = st.one_of(
+    _NEAR_RANGE,
+    _NEAR_RANGE.map(np.int32),
+    _NEAR_RANGE.map(np.int64),
+    st.booleans(),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.integers(min_value=0, max_value=2**64 - 1).map(np.uint64),
+)
+#: Labels that send a whole batch down the per-label path.
+_OTHER_LABELS = st.one_of(
+    st.integers(min_value=2**63, max_value=2**80),
+    st.integers(min_value=-(2**80), max_value=-(2**63) - 1),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.just(np.True_),
+)
+_LABEL_LISTS = st.one_of(
+    st.lists(_INTEGER_LABELS, max_size=24),
+    st.lists(st.one_of(_INTEGER_LABELS, _OTHER_LABELS), max_size=24),
+)
+
+
+def _fits_int64(label: object) -> bool:
+    return isinstance(label, (int, np.integer)) and (
+        -(2**63) <= int(label) < 2**63
+    )
+
+
+@pytest.fixture(scope="module", params=["store", "in-ram"])
+def integer_context(request, tmp_path_factory) -> AnalysisContext:
+    """Labels ``0 .. N-1`` behind an ``IdentityIndex`` (an on-disk store)
+    or behind the real label dict of an in-RAM freeze."""
+    graph = Graph()
+    for v in range(N):
+        graph.add_node(v)
+    for v in range(N):
+        graph.add_edge(v, (v + 1) % N)
+        graph.add_edge(v, (v + 5) % N)
+    context = AnalysisContext(graph)
+    if request.param == "in-ram":
+        assert not isinstance(context.index_of, IdentityIndex)
+        return context
+    opened = AnalysisContext.open(
+        context.save(tmp_path_factory.mktemp("identity") / "store")
+    )
+    assert isinstance(opened.index_of, IdentityIndex)
+    return opened
+
+
+class TestBulkIdentityLabels:
+    @given(labels=_LABEL_LISTS)
+    @settings(max_examples=200, deadline=None)
+    def test_resolve_matches_per_label_index(self, labels):
+        index = IdentityIndex(N)
+        resolved = index.resolve(labels)
+        assert (resolved is not None) == all(map(_fits_int64, labels))
+        if resolved is None:
+            return
+        ids, known = resolved
+        assert known.tolist() == [label in index for label in labels]
+        assert ids[known].tolist() == [
+            index[label] for label in labels if label in index
+        ]
+
+    @given(labels=_LABEL_LISTS)
+    @settings(max_examples=200, deadline=None)
+    def test_vertex_ids_match_per_label_path(self, integer_context, labels):
+        index_of = integer_context.index_of
+        missing = [label for label in labels if label not in index_of]
+        if missing:
+            with pytest.raises(NodeNotFound) as excinfo:
+                integer_context.vertex_ids(labels)
+            assert excinfo.value.node is missing[0]
+            return
+        ids = integer_context.vertex_ids(labels)
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [index_of[label] for label in labels]
+
+    @given(lists=st.lists(_LABEL_LISTS, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_restrict_matches_per_label_path(self, integer_context, lists):
+        index_of = integer_context.index_of
+        restricted = integer_context.restrict(lists)
+        expected = [[l for l in labels if l in index_of] for labels in lists]
+        assert restricted == expected
+        for got, want in zip(restricted, expected):
+            assert all(a is b for a, b in zip(got, want))
+
+    @given(lists=st.lists(_LABEL_LISTS.filter(bool), max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_score_groups_restriction_keeps_members_in_order(
+        self, integer_context, lists
+    ):
+        groups = GroupSet(
+            groups=[
+                VertexGroup(name=f"g{i}", members=frozenset(labels))
+                for i, labels in enumerate(lists)
+            ]
+        )
+        index_of = integer_context.index_of
+        expected = [
+            (group.name, [l for l in group.members if l in index_of])
+            for group in groups
+        ]
+        expected = [(name, kept) for name, kept in expected if kept]
+        with mock.patch.object(
+            registry,
+            "score_stats_columns",
+            wraps=registry.score_stats_columns,
+        ) as spy:
+            table = registry.score_groups(integer_context, groups, cache=False)
+        assert table.group_names == [name for name, _ in expected]
+        member_lists = spy.call_args.args[1]
+        assert member_lists == [kept for _, kept in expected]
