@@ -43,7 +43,7 @@ echo "== observability overhead smoke (trace artifact: trace-sample.jsonl) =="
 python benchmarks/bench_obs_overhead.py --smoke --trace-out trace-sample.jsonl
 
 echo "== out-of-core smoke (1e6-edge freeze+score, RSS/time budgets) =="
-python benchmarks/bench_parallel_scoring.py --scale 1000000 \
+python benchmarks/bench_parallel_scoring.py --scale 1000000 --jobs 2 \
     --rss-budget-mb 900 --time-budget 120 --output "$BENCH_OUT/BENCH_scale.json"
 
 echo "== service smoke (ephemeral port, query burst: 2xx + warm 304s, >=5x warm p50) =="

@@ -12,11 +12,24 @@ layout:
   CSR's dense bitset (falling back to sorted ``src * n + dst`` edge-key
   binary search above the bitset memory cap).  Wins for small groups on
   high-degree graphs — the selective-sharing circles of the paper.
-* **gather** — concatenate the members' CSR rows
-  (:math:`\\sum_C \\sum_{v \\in C} d(v)` entries) and test each gathered
-  ``(group, neighbour)`` entry against a sorted membership key table.
-  Wins for groups whose size exceeds their members' degrees (e.g. the
-  whole graph as one group).
+* **gather** — walk the members' CSR rows
+  (:math:`\\sum_C \\sum_{v \\in C} d(v)` entries) in chunks of at most
+  :data:`GATHER_CHUNK` entries and test whether each gathered
+  ``(group, neighbour)`` entry lies inside its group.  Wins for groups
+  whose size exceeds their members' degrees (e.g. the whole graph as one
+  group).
+
+The gather membership test is one array lookup per entry in an *owner
+table*: a per-vertex tag that is ``g + 1`` for a vertex in exactly one
+group ``g`` of the batch, ``0`` for a vertex in none and ``-1`` for a
+vertex in several.  An entry is inside when its neighbour's tag equals
+its row's tag; only entries whose neighbour is shared fall back to a
+binary search in the sorted ``tag * n + vertex`` key table.  Tags take
+the narrowest signed dtype that holds them, so the table's touched pages
+stay few.  The key table is built when a shared neighbour occurs, and
+always when internal-adjacency rows are kept: each matched entry is then
+binary-searched once more to find its member position.  Temporaries are
+bounded by the chunk, not by the batch.
 
 ``strategy="auto"`` picks whichever predicts fewer touched entries for
 the batch.  The legacy per-group path stays in :mod:`repro.scoring.base`
@@ -46,17 +59,18 @@ Strategy = Literal["auto", "pairs", "gather"]
 
 __all__ = ["batch_group_stats", "batch_group_stats_columns", "group_stats"]
 
-#: Entry stream of one membership pass: per-entry owning member row,
-#: boolean inside-the-group flag, and the kernel-specific payload needed
-#: to recover the internal neighbour's member position.
-_Entries = tuple[np.ndarray, np.ndarray, np.ndarray]
+#: Most gathered entries one gather chunk holds (a single member row may
+#: exceed it); bounds the kernel's temporaries independently of the batch.
+GATHER_CHUNK = 1 << 16
 
 
 class _MemberTable:
     """Flat member layout shared by every orientation pass of one batch.
 
     ``ids`` concatenates the (deduplicated) member ids of all groups;
-    ``member_group[j]`` is the group the ``j``-th member row belongs to.
+    ``member_group[j]`` is the group the ``j``-th member row belongs to
+    and ``tags[j]`` is that group plus one, in the narrowest signed dtype
+    that holds every tag.
     """
 
     __slots__ = (
@@ -64,9 +78,11 @@ class _MemberTable:
         "ids",
         "sizes",
         "member_group",
+        "tags",
         "group_offsets",
         "total_members",
         "num_groups",
+        "_owner",
         "_sorted_keys",
         "_key_order",
         "_pair_offsets",
@@ -86,7 +102,12 @@ class _MemberTable:
         self.member_group = np.repeat(
             np.arange(self.num_groups, dtype=np.int64), sizes
         )
+        # The smallest type holding -1 - G is signed and also holds G.
+        self.tags = (self.member_group + 1).astype(
+            np.min_scalar_type(-1 - self.num_groups)
+        )
         self.group_offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self._owner: np.ndarray | None = None
         self._sorted_keys: np.ndarray | None = None
         self._key_order: np.ndarray | None = None
         self._pair_offsets: np.ndarray | None = None
@@ -180,14 +201,10 @@ class _MemberTable:
         # member pairs with its own group), so reduceat is safe.
         return np.add.reduceat(inside.astype(np.int64), self._pair_offsets)
 
-    def pair_entries(self, inside: np.ndarray) -> _Entries:
-        """Package a per-pair inside flag as an adjacency entry stream."""
-        assert self._pair_u is not None and self._pair_v_member is not None
-        return (self._pair_u, inside, self._pair_v_member)
-
-    def pair_neighbor_rows(self, entries: _Entries) -> list[np.ndarray]:
-        """Internal-neighbour member positions from a pairs entry stream."""
-        pair_u, inside, pair_v_member = entries
+    def pair_neighbor_rows(self, inside: np.ndarray) -> list[np.ndarray]:
+        """Internal-neighbour member positions from a per-pair inside flag."""
+        pair_u, pair_v_member = self._pair_u, self._pair_v_member
+        assert pair_u is not None and pair_v_member is not None
         owners = pair_u[inside]
         positions = (
             pair_v_member - self.group_offsets[self.member_group[pair_u]]
@@ -200,63 +217,123 @@ class _MemberTable:
     # -- gather kernel -------------------------------------------------------
 
     def _membership_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted ``tag * n + vertex`` keys and the member row of each.
+
+        A trailing int64-max sentinel keeps every search position in
+        range; no real key reaches it.
+        """
         if self._sorted_keys is None:
-            member_keys = self.member_group * np.int64(self.n) + self.ids
-            self._key_order = np.argsort(member_keys)
-            self._sorted_keys = member_keys[self._key_order]
+            member_keys = self._keys(self.tags, self.ids)
+            self._key_order = member_keys.argsort()
+            self._sorted_keys = np.append(
+                member_keys[self._key_order], np.iinfo(np.int64).max
+            )
         assert self._key_order is not None
         return self._sorted_keys, self._key_order
 
+    def _owner_table(self) -> np.ndarray:
+        """Tag of the one group of the batch that holds each vertex.
+
+        ``owner[v]`` is ``g + 1`` when ``v`` is in exactly one group ``g``,
+        ``0`` when in none and ``-1`` when in several.  ``np.zeros`` is
+        calloc-backed, so only the pages the members and their neighbours
+        touch are ever materialised.  Groups are deduplicated, so a vertex
+        written twice belongs to two groups; whichever write numpy keeps,
+        at least one of its rows reads back a foreign tag and marks it.
+        Built once per batch and shared by every orientation pass.
+        """
+        if self._owner is None:
+            owner = np.zeros(self.n, dtype=self.tags.dtype)
+            owner[self.ids] = self.tags
+            owner[self.ids[owner[self.ids] != self.tags]] = -1
+            self._owner = owner
+        return self._owner
+
     def gather_inside(
-        self, csr: CSRGraph, *, keep_entries: bool = False
-    ) -> tuple[np.ndarray, _Entries | None]:
+        self, csr: CSRGraph, *, keep_rows: bool = False
+    ) -> tuple[np.ndarray, list[np.ndarray] | None]:
         """Per-member internal degrees by gathering the members' CSR rows.
 
-        Every gathered ``(group, neighbour)`` entry is tested against the
-        sorted ``group * n + vertex`` membership key table.
+        Rows are walked in runs of at most :data:`GATHER_CHUNK` entries.
+        An entry is inside when its neighbour's owner tag equals its row's
+        tag; only entries whose neighbour is shared are looked up in the
+        sorted ``tag * n + vertex`` key table.  ``keep_rows`` also returns
+        each member's internal-neighbour positions, ascending, kept from
+        each chunk's matched entries only.
         """
-        sorted_keys, _ = self._membership_keys()
-        starts = csr.indptr[self.ids]
-        counts = csr.indptr[self.ids + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.zeros(self.total_members, dtype=np.int64), None
-        offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
-        flat = np.arange(total, dtype=np.int64) + np.repeat(
-            starts - offsets, counts
-        )
-        neighbors = csr.indices[flat]
-        entry_member = np.repeat(
-            np.arange(self.total_members, dtype=np.int64), counts
-        )
-        entry_keys = (
-            np.repeat(self.member_group, counts) * np.int64(self.n) + neighbors
-        )
-        key_position = np.searchsorted(sorted_keys, entry_keys)
-        key_position = np.minimum(key_position, self.total_members - 1)
-        inside = sorted_keys[key_position] == entry_keys
-        internal = np.bincount(
-            entry_member, weights=inside, minlength=self.total_members
-        ).astype(np.int64)
-        entries: _Entries | None = None
-        if keep_entries:
-            entries = (entry_member, inside, key_position)
-        return internal, entries
+        # Plain ndarray views: indexing a memmap costs a subclass
+        # finalisation per call.
+        indptr = np.asarray(csr.indptr)
+        indices = np.asarray(csr.indices)
+        starts = indptr[self.ids]
+        counts = indptr[1:][self.ids] - starts
+        ends = counts.cumsum()
+        internal = np.zeros(self.total_members, dtype=np.int64)
+        rows: list[np.ndarray] | None = [] if keep_rows else None
+        owner = self._owner_table()
+        lo = 0
+        while lo < self.total_members:
+            base = ends[lo] - counts[lo]
+            hi = int(ends.searchsorted(base + GATHER_CHUNK, "right"))
+            hi = max(hi, lo + 1)  # a row longer than a chunk is one chunk
+            # Only non-empty rows start a reduceat segment: a repeated
+            # offset would sum one entry instead of none.
+            nonempty = counts[lo:hi].nonzero()[0] + lo
+            row_counts = counts[nonempty]
+            offsets = ends[nonempty] - row_counts - base
+            neighbors = indices[
+                np.arange(ends[hi - 1] - base, dtype=np.int64)
+                + (starts[nonempty] - offsets).repeat(row_counts)
+            ]
+            row_tag = self.tags[nonempty].repeat(row_counts)
+            owner_tag = owner[neighbors]
+            inside = owner_tag == row_tag
+            shared = (owner_tag < 0).nonzero()[0]
+            if shared.size:
+                inside[shared] = self._key_hits(
+                    row_tag[shared], neighbors[shared]
+                )
+            internal[nonempty] = np.add.reduceat(
+                inside, offsets, dtype=np.int64
+            )
+            if rows is not None:
+                rows.extend(
+                    self._chunk_neighbor_rows(
+                        inside, row_tag, neighbors, internal[lo:hi]
+                    )
+                )
+            lo = hi
+        return internal, rows
 
-    def gather_neighbor_rows(self, entries: _Entries) -> list[np.ndarray]:
-        """Internal-neighbour member positions from a gather entry stream."""
-        entry_member, inside, key_position = entries
-        _, key_order = self._membership_keys()
-        # Align per-group positions with the sorted key table so a key hit
-        # maps straight to the matched member's position.
-        pos_sorted = self.member_positions()[key_order]
-        owners = entry_member[inside]
-        positions = pos_sorted[key_position[inside]]
-        order = np.lexsort((positions, owners))
-        positions = positions[order]
-        owners = owners[order]
-        splits = np.cumsum(np.bincount(owners, minlength=self.total_members))
-        return np.split(positions, splits[:-1])
+    def _keys(self, tags: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+        """Membership keys ``tag * n + vertex`` of tagged vertices."""
+        return tags.astype(np.int64) * np.int64(self.n) + vertices
+
+    def _key_hits(self, tags: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+        """Which ``(tag, vertex)`` pairs are in the membership table."""
+        sorted_keys, _ = self._membership_keys()
+        keys = self._keys(tags, vertices)
+        return sorted_keys[sorted_keys.searchsorted(keys)] == keys
+
+    def _chunk_neighbor_rows(
+        self,
+        inside: np.ndarray,
+        row_tag: np.ndarray,
+        neighbors: np.ndarray,
+        row_internal: np.ndarray,
+    ) -> list[np.ndarray]:
+        """Internal-neighbour positions of one chunk's rows, ascending."""
+        sorted_keys, key_order = self._membership_keys()
+        matched = inside.nonzero()[0]
+        tag = row_tag[matched]
+        # A matched key is in the table, so its search position is exact
+        # and ``key_order`` names the matched member's row.
+        rank = sorted_keys.searchsorted(self._keys(tag, neighbors[matched]))
+        positions = key_order[rank] - self.group_offsets[tag - 1]
+        # Matched entries are row-major; sort positions within each row.
+        owners = np.arange(len(row_internal)).repeat(row_internal)
+        positions = positions[np.lexsort((positions, owners))]
+        return np.split(positions, row_internal.cumsum()[:-1])
 
     # -- shared reductions ---------------------------------------------------
 
@@ -267,10 +344,6 @@ class _MemberTable:
         raises before the kernel runs), so reduceat is safe.
         """
         return np.add.reduceat(per_member, self.group_offsets[:-1])
-
-    def empty_neighbor_rows(self) -> list[np.ndarray]:
-        empty = np.empty(0, dtype=np.int64)
-        return [empty] * self.total_members
 
 
 def batch_group_stats(
@@ -395,7 +468,7 @@ def _batch_member_columns(
     keep = include_internal_adjacency
     directed = context.is_directed
 
-    entries: _Entries | None = None
+    adjacency_rows: list[np.ndarray] | None = None
     if directed:
         assert context.csr_out is not None and context.csr_in is not None
         if use_pairs:
@@ -407,12 +480,16 @@ def _batch_member_columns(
             internal_out = table.pairs_reduce(inside_out)
             internal_in = table.pairs_reduce(inside_in)
             if keep:
-                entries = table.pair_entries(inside_out | inside_in)
+                adjacency_rows = table.pair_neighbor_rows(
+                    inside_out | inside_in
+                )
         else:
             internal_out, _ = table.gather_inside(context.csr_out)
             internal_in, _ = table.gather_inside(context.csr_in)
             if keep:
-                _, entries = table.gather_inside(context.csr, keep_entries=True)
+                _, adjacency_rows = table.gather_inside(
+                    context.csr, keep_rows=True
+                )
         out_degrees = context.out_degree_array[table.ids]
         in_degrees = context.in_degree_array[table.ids]
         degrees = out_degrees + in_degrees
@@ -423,10 +500,10 @@ def _batch_member_columns(
             inside = table.pairs_probe(context.csr)
             internal = table.pairs_reduce(inside)
             if keep:
-                entries = table.pair_entries(inside)
+                adjacency_rows = table.pair_neighbor_rows(inside)
         else:
-            internal, entries = table.gather_inside(
-                context.csr, keep_entries=keep
+            internal, adjacency_rows = table.gather_inside(
+                context.csr, keep_rows=keep
             )
         degrees = context.csr.degree_array()[table.ids]
         m_C_group = table.group_sum(internal) // 2
@@ -434,15 +511,6 @@ def _batch_member_columns(
         in_degrees = zeros
         out_degrees = zeros
     boundary_group = table.group_sum(degrees) - table.group_sum(internal)
-
-    adjacency_rows: list[np.ndarray] | None = None
-    if include_internal_adjacency:
-        if entries is None:
-            adjacency_rows = table.empty_neighbor_rows()
-        elif use_pairs:
-            adjacency_rows = table.pair_neighbor_rows(entries)
-        else:
-            adjacency_rows = table.gather_neighbor_rows(entries)
 
     return _ColumnPass(
         member_tuples,

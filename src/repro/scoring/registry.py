@@ -145,11 +145,23 @@ class ScoreTable:
                 continue
             result[name] = {
                 "mean": float(finite.mean()),
-                "median": float(np.median(finite)),
+                "median": float(finite_median(finite)),
                 "min": float(finite.min()),
                 "max": float(finite.max()),
             }
         return result
+
+
+def finite_median(values: np.ndarray) -> np.float64:
+    """Median of a non-empty finite 1-D array, bit-identical to ``np.median``.
+
+    Takes the mean of the middle one or two sorted values, as
+    ``np.median`` does after partitioning, without its NaN check, which
+    imports ``numpy.ma`` (about 15 ms per process).
+    """
+    ordered = np.sort(values)
+    middle = len(ordered) // 2
+    return ordered[middle - 1 + len(ordered) % 2 : middle + 1].mean()
 
 
 def _needs(functions: Sequence[ScoringFunction], kind: type) -> bool:

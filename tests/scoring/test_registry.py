@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.groups import Community, GroupSet, VertexGroup
 from repro.scoring.registry import (
     PAPER_FUNCTION_NAMES,
+    finite_median,
     make_all_functions,
     make_function,
     make_paper_functions,
+    ScoreTable,
     score_group,
     score_groups,
 )
@@ -122,3 +126,38 @@ class TestScoreGroups:
         )
         assert np.isinf(table.scores("separability")[0])
         assert table.summary()["separability"]["mean"] == 0.0
+
+
+class TestFiniteMedian:
+    """``ScoreTable.summary`` medians are bit-identical to ``np.median``."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 17, 18, 4999, 5000])
+    def test_odd_and_even_sizes(self, size):
+        rng = np.random.default_rng(size)
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+        assert finite_median(values).tobytes() == np.median(values).tobytes()
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([0.0, -0.0, 1.0]),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_finite_sample(self, values):
+        values = np.asarray(values, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            want = np.median(values)
+            assert finite_median(values).tobytes() == want.tobytes()
+
+    def test_summary_uses_it(self):
+        table = ScoreTable(
+            group_names=["a", "b", "c", "d"],
+            group_sizes=[1, 1, 1, 1],
+            columns={"f": np.array([3.0, np.inf, 1.0, 2.5])},
+        )
+        assert table.summary()["f"]["median"] == 2.5

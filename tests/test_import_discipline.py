@@ -3,9 +3,10 @@
 ``repro.powerlaw`` pulls in scipy, which costs about a second per
 process.  Only degree fitting (``repro degree-fit``, ``characterize``)
 needs it, so ``import repro``, the CLI, the service and the ``score`` and
-``delta`` commands over a frozen store must never load it.  Each check
-runs in a fresh interpreter, because this test process may already hold
-scipy.
+``delta`` commands over a frozen store must never load it.  ``repro
+score`` also stays clear of ``numpy.ma``, which ``np.median`` and
+``np.unique`` import lazily (about 15 ms).  Each check runs in a fresh
+interpreter, because this test process may already hold those modules.
 """
 
 from __future__ import annotations
@@ -70,6 +71,15 @@ def test_import_does_not_load_scipy(module):
 def test_store_commands_do_not_load_scipy(tiny_store, argv):
     args = [arg.format(store=tiny_store) for arg in argv]
     _run_probe(f"import repro.cli\nassert repro.cli.main({args!r}) == 0\n")
+
+
+def test_score_does_not_load_numpy_ma(tiny_store):
+    args = ["score", "--mmap-dir", str(tiny_store), "--no-cache"]
+    _run_probe(
+        "import sys\nimport repro.cli\n"
+        f"assert repro.cli.main({args!r}) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
 
 
 def test_lazy_exports_still_resolve():
