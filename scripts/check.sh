@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # One-command correctness gate: custom lint pass (parallel, baseline-aware,
 # with a machine-readable SARIF artifact), seed-determinism check on the
-# fast pipelines, engine-vs-legacy identity smoke, observability overhead
-# smoke (with a sample trace artifact), then the tier-1 test suite.
+# fast pipelines under two hash seeds (outputs must match), engine-vs-legacy
+# identity smoke, observability overhead smoke (with a sample trace
+# artifact), then the tier-1 test suite.
 # Exits non-zero on the first failure so it can gate PRs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -29,8 +30,14 @@ python benchmarks/bench_lint.py --interproc --repeat 2
 echo "== scale-soundness lint benchmark (REP601-606, warm cache) =="
 python benchmarks/bench_lint.py --tier3 --repeat 2
 
-echo "== determinism check (fast pipelines) =="
-python -m repro.devtools.determinism --fast
+echo "== determinism check (fast pipelines, PYTHONHASHSEED=5 vs 47) =="
+# One run cannot see a set iterated before an RNG draw; the same draws
+# under two hash seeds can, so both runs must print the same fingerprints.
+for hash_seed in 5 47; do
+    PYTHONHASHSEED=$hash_seed python -m repro.devtools.determinism --fast \
+        | tee "$BENCH_OUT/determinism-$hash_seed.txt"
+done
+diff "$BENCH_OUT/determinism-5.txt" "$BENCH_OUT/determinism-47.txt"
 
 echo "== engine scoring smoke (bit-identity vs legacy) =="
 python benchmarks/bench_engine_scoring.py --smoke

@@ -110,6 +110,7 @@ class AnalysisContext:
         "_degree_array",
         "_median_degree",
         "_label_rank",
+        "_ids_in_label_order",
         "_fingerprint",
     )
 
@@ -141,6 +142,7 @@ class AnalysisContext:
         self._degree_array: np.ndarray | None = None
         self._median_degree: float | None = None
         self._label_rank: np.ndarray | None = None
+        self._ids_in_label_order: bool | None = None
         self._fingerprint: str | None = None
 
     @classmethod
@@ -186,6 +188,7 @@ class AnalysisContext:
         self._degree_array = degree_array
         self._median_degree = median_degree
         self._label_rank = label_rank
+        self._ids_in_label_order = None
         self._fingerprint = None
         return self
 
@@ -466,6 +469,26 @@ class AnalysisContext:
             )
             self._label_rank = rank
         return self._label_rank
+
+    @property
+    def ids_in_label_order(self) -> bool:
+        """Whether vertex ids already run in label order (rank == id).
+
+        Decided once per context: an identity labelling answers without
+        building :attr:`label_rank`, any other context compares its rank
+        with ``arange(n)`` once.  The random-walk sampler sorts its
+        candidates by rank only when this is false, and the parallel
+        executor ships the rank to its workers only then.
+        """
+        if self._ids_in_label_order is None:
+            if self._label_rank is None and is_identity_nodes(self.csr.nodes):
+                self._ids_in_label_order = True
+            else:
+                rank = self.label_rank
+                self._ids_in_label_order = bool(
+                    np.array_equal(rank, np.arange(rank.size, dtype=np.int64))
+                )
+        return self._ids_in_label_order
 
     def __repr__(self) -> str:
         kind = "directed" if self.is_directed else "undirected"

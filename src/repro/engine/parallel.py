@@ -5,10 +5,10 @@ replicates, and a frozen :class:`~repro.engine.AnalysisContext` is
 immutable by contract — so parallelism here is a pure fan-out:
 
 * the parent exports the frozen CSR buffers (every orientation, the
-  degree array, ``label_rank``) into ``multiprocessing.shared_memory``
-  segments, read through the same
-  :meth:`~repro.engine.context.AnalysisContext.csr_buffers` accessor the
-  manifest fingerprint hashes;
+  degree array, and ``label_rank`` unless ids already run in label
+  order) into ``multiprocessing.shared_memory`` segments, read through
+  the same :meth:`~repro.engine.context.AnalysisContext.csr_buffers`
+  accessor the manifest fingerprint hashes;
 * each worker attaches the segments zero-copy and rebuilds a trusted
   context over integer vertex ids
   (:meth:`~repro.engine.context.AnalysisContext.from_parts`) — node
@@ -23,7 +23,9 @@ immutable by contract — so parallelism here is a pure fan-out:
 
 Workers run with observability disabled: a forked child would otherwise
 inherit the parent's tracer and interleave writes into its trace file.
-The parent records shard fan-out in ``engine.parallel_shards`` instead.
+The parent records shard fan-out in ``engine.parallel_shards`` instead,
+and adds up the random-walk step and restart totals each sampling chunk
+returns with its id arrays (``sampler.walk_steps``/``walk_restarts``).
 """
 
 from __future__ import annotations
@@ -41,12 +43,7 @@ from multiprocessing import shared_memory
 
 from repro.engine.context import AnalysisContext
 from repro.exceptions import ParallelError
-from repro.graph.csr import (
-    CSRGraph,
-    IdentityIndex,
-    IdentityNodes,
-    is_identity_nodes,
-)
+from repro.graph.csr import CSRGraph, IdentityIndex, IdentityNodes
 from repro.obs import instruments
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle-free)
@@ -125,17 +122,18 @@ class _SharedContext:
                 }
                 for name, buffers in context.csr_buffers().items()
             }
-            identity = is_identity_nodes(context.csr.nodes)
             self.spec = {
                 "n": context.num_vertices,
                 "m": context.num_edges,
                 "directed": context.is_directed,
                 "orientations": orientations,
                 "degree": self._export(context.degree_array),
-                # Identity labels rank as themselves: workers rebuild the
-                # arange locally instead of shipping n int64s.
+                # Ids already in label order need no rank: the worker
+                # contexts (identity-labelled) then never sort by it.
                 "label_rank": (
-                    None if identity else self._export(context.label_rank)
+                    None
+                    if context.ids_in_label_order
+                    else self._export(context.label_rank)
                 ),
                 "median_degree": context.median_degree,
             }
@@ -329,16 +327,25 @@ def _score_shard(
 
 def _sample_chunk(
     tasks: list[tuple[str, int, int | None]],
-) -> list[np.ndarray]:
-    """Draw one chunk of matched sets; each task owns a child seed."""
-    from repro.engine.samplers import SAMPLER_IDS
+) -> tuple[list[np.ndarray], int, int]:
+    """Draw one chunk of matched sets; each task owns a child seed.
+
+    Returns the id arrays plus the chunk's random-walk step and restart
+    totals: worker metrics are off, so the parent counts them.
+    """
+    from repro.engine.samplers import SAMPLER_IDS, _random_walk_ids
 
     context = _worker_context()
+    tally = [0, 0]
     results: list[np.ndarray] = []
     for sampler, size, child_seed in tasks:
-        ids = SAMPLER_IDS[sampler](context, size, random.Random(child_seed))
+        rng = random.Random(child_seed)
+        if sampler == "random_walk":
+            ids = _random_walk_ids(context, size, rng, tally=tally)
+        else:
+            ids = SAMPLER_IDS[sampler](context, size, rng)
         results.append(ids)
-    return results
+    return results, tally[0], tally[1]
 
 
 # -- the executor ------------------------------------------------------------
@@ -453,7 +460,9 @@ class ParallelExecutor:
 
         Replicate ``i`` consumes exactly ``child_seeds[i]``, the stream
         the serial loop would hand it, so the draws replay seed-for-seed
-        regardless of which worker runs which chunk.
+        regardless of which worker runs which chunk.  The random-walk
+        step and restart counts the chunks return are added to this
+        process's metrics, so they read as in the serial run.
         """
         tasks = [
             (sampler, int(size), child_seeds[i])
@@ -469,8 +478,16 @@ class ParallelExecutor:
             for chunk in chunks
         ]
         results: list[np.ndarray] = []
-        for chunk_results in self._collect(futures):
+        steps = restarts = 0
+        for chunk_results, chunk_steps, chunk_restarts in self._collect(
+            futures
+        ):
             results.extend(chunk_results)
+            steps += chunk_steps
+            restarts += chunk_restarts
+        if sampler == "random_walk":
+            instruments.WALK_STEPS.inc(steps)
+            instruments.WALK_RESTARTS.inc(restarts)
         return results
 
     def close(self) -> None:

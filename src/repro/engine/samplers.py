@@ -11,7 +11,26 @@ draws depend only on candidate-list *lengths*, so ordering candidate ids
 by :attr:`~repro.engine.context.AnalysisContext.label_rank` (the
 :func:`~repro.graph.convert.stable_sorted` order of their labels) makes
 every draw pick the same vertex.  Same seed, same sample, whichever
-substrate runs it; ``tests/engine/test_samplers.py`` pins this.
+substrate runs it; ``tests/engine/test_engine_samplers.py`` pins this,
+on scrambled in-memory graphs and on opened stores.
+
+**The walk step.**  A Fig. 5 run makes one walk per circle, so the step
+is the hot loop.  It makes a fixed handful of numpy calls on plain
+arrays, whatever the row length: the row bounds are Python ints read
+through a ``memoryview`` of ``indptr``, the row is a slice of a plain
+``ndarray`` view of ``indices`` (so no ``np.memmap.__getitem__`` runs per
+step), and the fresh neighbours are ``row[free[row]]`` over a per-draw
+mask of the vertices not yet collected.  Members are collected in a list
+and sorted once at the end.  Candidates are sorted by label rank only
+when :attr:`~repro.engine.context.AnalysisContext.ids_in_label_order` is
+false, which is decided once per context: identity-labelled stores, and
+the parallel workers rebuilt from them, never sort.  There is no
+per-entry Python loop (a list comprehension over a ``memoryview`` row,
+with a ``set`` of collected ids).  In three runs on one 2-vCPU host it
+took 0.8–1.2× as long as this step on the 14-entry rows of the
+fig5-store benchmark, but 3.7–4.3× as long on the in-memory
+``build_google_plus`` graph, whose mean row of 68 entries is closer to
+the long rows of the real Google+ crawl.
 
 **Replicate independence.**  :func:`sample_matched_sets` derives one
 child seed per replicate (:func:`repro.sampling.seeds.spawn_child_seeds`)
@@ -34,6 +53,7 @@ from repro.engine.cache import ResultCache
 from repro.engine.context import AnalysisContext
 from repro.engine.parallel import ParallelExecutor, resolve_jobs
 from repro.exceptions import SamplingError
+from repro.graph.csr import IdentityNodes
 from repro.obs import instruments
 from repro.sampling.seeds import spawn_child_seeds
 
@@ -63,8 +83,13 @@ def _check_size(context: AnalysisContext, size: int) -> int:
 
 
 def _id_labels(context: AnalysisContext, ids: np.ndarray) -> set[Node]:
+    # Labels are added in ascending id order, so the sets (and frozensets
+    # built from them) iterate the same way on every path.  A label list,
+    # even one of 0..n-1, hands back its own label objects.
     nodes = context.csr.nodes
-    return {nodes[int(i)] for i in ids}
+    if isinstance(nodes, IdentityNodes):
+        return set(ids.tolist())
+    return set(map(nodes.__getitem__, ids.tolist()))
 
 
 def _random_walk_ids(
@@ -73,43 +98,59 @@ def _random_walk_ids(
     rng: random.Random,
     *,
     max_steps_factor: int = 200,
+    tally: list[int] | None = None,
 ) -> np.ndarray:
-    """Id-level random walk; returns the collected ids sorted ascending."""
+    """Id-level random walk; returns the collected ids sorted ascending.
+
+    The walk's step and restart counts go to the process metrics, or are
+    added to ``tally[0]`` and ``tally[1]`` when a tally is given (the
+    parallel workers, whose metrics are off, return theirs to the parent).
+    """
     n = _check_size(context, size)
-    indptr, indices = context.csr.indptr, context.csr.indices
-    rank = context.label_rank
+    # Python-int row bounds and a plain ndarray of targets: no numpy
+    # scalar boxing and no np.memmap.__getitem__ on the per-step path.
+    bounds = memoryview(context.csr.indptr)
+    targets = context.csr.indices.view(np.ndarray)
+    rank = None if context.ids_in_label_order else context.label_rank
+    choice = rng.choice
     population = range(n)
-    collected = np.zeros(n, dtype=bool)
-    current = rng.choice(population)
-    collected[current] = True
-    count = 1
+    free = np.ones(n, dtype=bool)
+    current = choice(population)
+    free[current] = False
+    members = [current]
     steps = 0
     restarts = 0
     budget = max_steps_factor * size
-    while count < size:
+    while len(members) < size:
         steps += 1
         if steps > budget:
             raise SamplingError(
                 f"random walk exhausted {budget} steps collecting "
-                f"{count}/{size} vertices"
+                f"{len(members)}/{size} vertices"
             )
-        row = indices[indptr[current] : indptr[current + 1]]
-        fresh = row[~collected[row]]
-        if fresh.size == 0:
+        row = targets[bounds[current] : bounds[current + 1]]
+        fresh = row[free[row]]
+        if not fresh.size:
             restarts += 1
-            current = rng.choice(population)
-            if not collected[current]:
-                collected[current] = True
-                count += 1
+            current = choice(population)
+            if free[current]:
+                free[current] = False
+                members.append(current)
             continue
-        # label_rank ordering replays the legacy stable_sorted choice.
-        fresh = fresh[np.argsort(rank[fresh])]
-        current = int(rng.choice(fresh))
-        collected[current] = True
-        count += 1
-    instruments.WALK_STEPS.inc(steps)
-    instruments.WALK_RESTARTS.inc(restarts)
-    return np.flatnonzero(collected)
+        if rank is not None:
+            # label_rank ordering replays the legacy stable_sorted choice.
+            fresh = fresh[rank[fresh].argsort()]
+        current = int(choice(fresh))
+        free[current] = False
+        members.append(current)
+    if tally is None:
+        instruments.WALK_STEPS.inc(steps)
+        instruments.WALK_RESTARTS.inc(restarts)
+    else:
+        tally[0] += steps
+        tally[1] += restarts
+    members.sort()
+    return np.array(members, dtype=np.int64)
 
 
 def _bfs_ball_ids(

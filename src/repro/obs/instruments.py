@@ -100,7 +100,7 @@ SETS_SAMPLED = REGISTRY.counter(
 
 WALK_STEPS = REGISTRY.counter(
     "sampler.walk_steps",
-    "random-walk transitions taken across all random_walk_set calls",
+    "random-walk transitions taken across all engine random walks",
     unit="steps",
 )
 

@@ -130,6 +130,27 @@ class TestCachedQuantities:
         ])
         assert by_rank == sorted(context.nodes, key=repr)
 
+    def test_ids_in_label_order(self):
+        # Identity labels decide without building the rank.
+        identity = AnalysisContext(Graph([(0, 1), (1, 2)]))
+        assert identity.ids_in_label_order
+        assert identity._label_rank is None
+        # Other labellings compare their rank with the ids once.
+        in_order = AnalysisContext(Graph([("a", "b"), ("b", "c")]))
+        assert in_order.ids_in_label_order
+        scrambled = AnalysisContext(Graph([("b", "a"), ("a", "c")]))
+        assert not scrambled.ids_in_label_order
+        # A worker rebuild: labels are ids, but the parent shipped a rank.
+        worker = AnalysisContext.from_parts(
+            identity.csr,
+            None,
+            None,
+            num_edges=2,
+            is_directed=False,
+            label_rank=np.asarray(scrambled.label_rank),
+        )
+        assert not worker.ids_in_label_order
+
 
 # -- bulk identity-label mapping ---------------------------------------------
 

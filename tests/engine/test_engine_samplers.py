@@ -5,22 +5,27 @@ samplers must consume randomness exactly like their legacy counterparts
 so that every published number survives the substrate swap unchanged.
 The insertion order of the test graphs is deliberately scrambled so
 vertex-id order and label order disagree — the case that distinguishes
-"same distribution" from "same draw".
+"same distribution" from "same draw".  Contexts opened from on-disk
+stores are replayed too: their arrays are memmaps, and an identity
+labelling takes the sampler path that never sorts by label rank.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.engine import (
     ENGINE_SAMPLERS,
     AnalysisContext,
+    ParallelExecutor,
     bfs_ball_set,
     random_walk_set,
     sample_matched_sets,
     uniform_vertex_set,
 )
 from repro.exceptions import SamplingError
+from repro.graph.csr import IdentityNodes
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
 from repro.sampling import random_sets as legacy
@@ -77,6 +82,64 @@ class TestLegacyReplay:
         assert sample_matched_sets(
             context, [3, 9, 14], sampler, seed=seed
         ) == legacy.sample_matched_sets(graph, [3, 9, 14], sampler, seed=seed)
+
+
+def identity_graph(directed, n=40, m=90, seed=13):
+    """Int labels 0..n-1 inserted in order: a store saves no node list."""
+    rng = random.Random(seed)
+    graph = (DiGraph if directed else Graph)()
+    graph.add_nodes_from(range(n))
+    while graph.number_of_edges() < m:
+        u, v = rng.sample(range(n), 2)
+        graph.add_edge(u, v)
+    return graph
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize(
+    "build, identity",
+    [(identity_graph, True), (scrambled_graph, False)],
+    ids=["identity", "shuffled-strings"],
+)
+def test_opened_store_replays_legacy(tmp_path, directed, build, identity):
+    graph = build(directed)
+    AnalysisContext(graph).save(tmp_path / "store")
+    opened = AnalysisContext.open(tmp_path / "store")
+    assert isinstance(opened.csr.indices, np.memmap)
+    assert isinstance(opened.csr.nodes, IdentityNodes) is identity
+    sizes = [1, 6, 25, 12]
+    with ParallelExecutor(opened, jobs=2) as executor:
+        for seed in (0, 7):
+            for size in sizes:
+                assert random_walk_set(
+                    opened, size, seed=seed
+                ) == legacy_random_walk(graph, size, seed=seed)
+                assert bfs_ball_set(
+                    opened, size, seed=seed
+                ) == legacy.bfs_ball_set(graph, size, seed=seed)
+            for sampler in ("random_walk", "bfs_ball", "uniform"):
+                assert sample_matched_sets(
+                    opened, sizes, sampler, seed=seed, executor=executor
+                ) == legacy.sample_matched_sets(
+                    graph, sizes, sampler, seed=seed
+                )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_step_budget_error_matches_legacy(seed):
+    graph = Graph()
+    graph.add_nodes_from(range(10))
+    graph.add_edge(0, 1)
+    context = AnalysisContext(graph)
+    with pytest.raises(SamplingError) as legacy_error:
+        legacy_random_walk(graph, 10, seed=seed, max_steps_factor=1)
+    with pytest.raises(SamplingError) as engine_error:
+        random_walk_set(context, 10, seed=seed, max_steps_factor=1)
+    assert str(engine_error.value) == str(legacy_error.value)
+    if seed == 0:
+        assert str(engine_error.value) == (
+            "random walk exhausted 10 steps collecting 8/10 vertices"
+        )
 
 
 class TestSamplerContracts:

@@ -134,6 +134,34 @@ def test_parallel_sampling_replays_serial_seed_for_seed(sampler):
     assert serial == parallel
 
 
+def test_walk_counters_match_serial_under_jobs():
+    """Worker metrics are off; the parent adds up each chunk's totals."""
+    from repro import obs
+    from repro.obs import instruments
+
+    # Sparse enough that some walks dead-end and restart.
+    context = AnalysisContext(scrambled_graph(directed=False, m=70))
+    sizes = [3, 7, 1, 12, 5, 9, 4, 30, 45]
+    counts = {}
+    for jobs in (1, 2):
+        obs.REGISTRY.reset()
+        obs.enable_metrics()
+        try:
+            sample_matched_sets(
+                context, sizes, "random_walk", seed=3, jobs=jobs
+            )
+        finally:
+            obs.disable()
+        counts[jobs] = (
+            instruments.WALK_STEPS.value(),
+            instruments.WALK_RESTARTS.value(),
+        )
+    obs.REGISTRY.reset()
+    steps, restarts = counts[1]
+    assert steps > 0 and restarts > 0
+    assert counts[2] == counts[1]
+
+
 def test_more_groups_than_workers_covered():
     graph = scrambled_graph(directed=False)
     groups = some_groups(graph, count=21)
