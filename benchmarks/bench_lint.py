@@ -12,24 +12,6 @@ produce identical findings (the determinism contract behind
     python benchmarks/bench_lint.py              # full, prints JSON
     python benchmarks/bench_lint.py --jobs 8     # explicit worker count
     python benchmarks/bench_lint.py --repeat 5
-
-``--interproc`` exercises the whole-program pass (call graph + function
-summaries + REP4xx/REP5xx) in isolation: it measures a cold run and then
-warm re-runs that hit the content-hash source cache and the program-hash
-summary cache, asserts the warm wall time stays under a bound
-(``--warm-budget``, default 10 s — generous so CI boxes never flake), and
-re-checks serial/parallel byte-identity with the interprocedural rules
-active::
-
-    python benchmarks/bench_lint.py --interproc
-    python benchmarks/bench_lint.py --interproc --warm-budget 5
-
-``--tier3`` does the same for the scale-soundness pass (dtype-interval
-analysis, resource lifetimes, streaming-memory contracts — REP601-606):
-cold run, warm cache re-runs under ``--warm-budget``, and serial vs
-parallel byte-identity::
-
-    python benchmarks/bench_lint.py --tier3 --repeat 2
 """
 
 from __future__ import annotations
@@ -44,29 +26,6 @@ from pathlib import Path
 from repro.devtools.lint import LintConfig, iter_python_files, lint_paths
 
 ROOT = Path(__file__).resolve().parents[1]
-
-#: Rule ids of the interprocedural families (REP4xx parallel safety,
-#: REP5xx cache soundness).
-INTERPROC_IDS = (
-    "REP401",
-    "REP402",
-    "REP403",
-    "REP404",
-    "REP501",
-    "REP502",
-    "REP503",
-)
-
-#: Rule ids of the scale-soundness families (REP60x dtype intervals,
-#: resource lifetimes, streaming-memory contracts).
-TIER3_IDS = (
-    "REP601",
-    "REP602",
-    "REP603",
-    "REP604",
-    "REP605",
-    "REP606",
-)
 
 
 def _time_lint(paths, config, *, jobs: int, repeat: int) -> tuple[float, list]:
@@ -111,67 +70,6 @@ def _bench_full(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_program_pass(
-    args: argparse.Namespace, *, mode: str, ids: tuple[str, ...]
-) -> int:
-    import dataclasses
-
-    src = ROOT / "src"
-    base = LintConfig.from_pyproject(ROOT / "pyproject.toml")
-    config = dataclasses.replace(base, select=ids, ignore=())
-    files = list(iter_python_files([src]))
-
-    # Cold: first whole-program run of this process pays parsing, call
-    # graph construction and the bottom-up summary fixpoint.
-    cold_start = time.perf_counter()
-    cold_findings = lint_paths([src], config, jobs=1)
-    cold_seconds = time.perf_counter() - cold_start
-
-    # Warm: unchanged sources hit the content-hash source cache and the
-    # program-hash summary cache; this is the watch-loop/CI steady state.
-    warm_seconds, warm_findings = _time_lint(
-        [src], config, jobs=1, repeat=args.repeat
-    )
-    parallel_seconds, parallel_findings = _time_lint(
-        [src], config, jobs=args.jobs, repeat=args.repeat
-    )
-
-    warm_lines = [v.format() for v in warm_findings]
-    identical = (
-        [v.format() for v in cold_findings] == warm_lines
-        and warm_lines == [v.format() for v in parallel_findings]
-    )
-    within_budget = warm_seconds <= args.warm_budget
-    report = {
-        "mode": mode,
-        "files": len(files),
-        "rules": list(ids),
-        "cold_seconds": round(cold_seconds, 4),
-        "warm_seconds": round(warm_seconds, 4),
-        "warm_budget_seconds": args.warm_budget,
-        "within_budget": within_budget,
-        "parallel_seconds": round(parallel_seconds, 4),
-        "jobs": args.jobs,
-        "findings": len(warm_findings),
-        "identical_output": identical,
-    }
-    print(json.dumps(report, indent=2))
-    if not identical:
-        print(
-            f"FAIL: {mode} findings differ across cold/warm/parallel runs",
-            file=sys.stderr,
-        )
-        return 1
-    if not within_budget:
-        print(
-            f"FAIL: warm {mode} lint took {warm_seconds:.2f}s "
-            f"(budget {args.warm_budget:.2f}s)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -183,31 +81,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--repeat", type=int, default=3, help="runs per path; best is kept"
     )
-    parser.add_argument(
-        "--interproc",
-        action="store_true",
-        help="benchmark the whole-program REP4xx/REP5xx pass in isolation",
-    )
-    parser.add_argument(
-        "--tier3",
-        action="store_true",
-        help="benchmark the scale-soundness REP601-606 pass in isolation",
-    )
-    parser.add_argument(
-        "--warm-budget",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="max allowed warm-cache wall time in --interproc/--tier3 mode",
-    )
     args = parser.parse_args(argv)
-    if args.interproc and args.tier3:
-        print("error: pick one of --interproc / --tier3", file=sys.stderr)
-        return 2
-    if args.interproc:
-        return _bench_program_pass(args, mode="interproc", ids=INTERPROC_IDS)
-    if args.tier3:
-        return _bench_program_pass(args, mode="tier3", ids=TIER3_IDS)
     return _bench_full(args)
 
 

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# One-command correctness gate: custom lint pass (parallel, baseline-aware,
-# with a machine-readable SARIF artifact), seed-determinism check on the
-# fast pipelines under two hash seeds (outputs must match), engine-vs-legacy
-# identity smoke, observability overhead smoke (with a sample trace
-# artifact), then the tier-1 test suite.
+# One-command correctness gate, in order: the custom lint pass (findings,
+# baseline ratchet and a SARIF artifact, each on 2 jobs), the
+# seed-determinism check on the fast pipelines under two hash seeds
+# (outputs must match), engine-vs-legacy identity smoke, parallel-identity
+# smoke, observability overhead smoke (with a sample trace artifact),
+# out-of-core scale smoke, service QPS smoke, columnar scoring bench, the
+# bench-trajectory regression gate, then the tier-1 test suite.
 # Exits non-zero on the first failure so it can gate PRs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -15,20 +17,14 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 BENCH_OUT=bench-smoke
 mkdir -p "$BENCH_OUT"
 
-echo "== repro lint (REP001-REP607, 2 jobs) =="
+echo "== repro lint (every rule, 2 jobs) =="
 python -m repro.devtools.lint src --jobs 2
 
-echo "== repro lint baseline ratchet (no stale entries) =="
-python -m repro.devtools.lint src --check-baseline
+echo "== repro lint baseline ratchet (no stale entries, 2 jobs) =="
+python -m repro.devtools.lint src --check-baseline --jobs 2
 
-echo "== repro lint SARIF artifact (lint.sarif) =="
-python -m repro.devtools.lint src --format sarif --output lint.sarif
-
-echo "== interprocedural lint benchmark (warm cache, serial vs parallel) =="
-python benchmarks/bench_lint.py --interproc --repeat 2
-
-echo "== scale-soundness lint benchmark (REP601-606, warm cache) =="
-python benchmarks/bench_lint.py --tier3 --repeat 2
+echo "== repro lint SARIF artifact (lint.sarif, 2 jobs) =="
+python -m repro.devtools.lint src --format sarif --output lint.sarif --jobs 2
 
 echo "== determinism check (fast pipelines, PYTHONHASHSEED=5 vs 47) =="
 # One run cannot see a set iterated before an RNG draw; the same draws

@@ -904,7 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.set_defaults(handler=_cmd_trace)
 
     lint_parser = commands.add_parser(
-        "lint", help="repo-specific AST lint pass (rules REP001-REP503)"
+        "lint", help="repo-specific AST lint pass (rule ids: --list-rules)"
     )
     lint_parser.add_argument(
         "paths", nargs="*", default=["src"], help="files or directories"

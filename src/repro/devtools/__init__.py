@@ -4,34 +4,18 @@ Three layers keep the reproduction's headline numbers trustworthy as the
 codebase grows:
 
 * **Static analysis** — :mod:`repro.devtools.lint` is the front end of a
-  flow-sensitive lint engine: the stateless per-statement rules
-  (REP001–REP006) live in ``lint.py``; :mod:`repro.devtools.dataflow`
-  provides per-function scope tables, a CFG with def-use chains and
-  origin tagging (RNG / graph / frozen / set-ordered values); and
-  :mod:`repro.devtools.rules_flow` builds the RNG-discipline (REP1xx)
-  and freeze-once-contract (REP2xx) rule families on top of it.
-  The interprocedural layer lifts the analysis to whole-program scope:
-  :mod:`repro.devtools.callgraph` builds a call graph (direct calls,
-  class-hierarchy method resolution, registry/dispatch indirection,
-  process-boundary edges) with an SCC condensation,
-  :mod:`repro.devtools.summaries` computes per-function effect
-  summaries bottom-up over it, and
-  :mod:`repro.devtools.rules_interproc` expresses the parallel-safety
-  (REP4xx) and cache-soundness (REP5xx) rule families on top.
-  The scale-soundness tier guards the out-of-core substrate:
-  :mod:`repro.devtools.numeric` runs an interval/dtype abstract domain
-  over the dataflow and call graph (REP601 edge-key dtype demotion,
-  REP602 narrow dtype into a frozen CSR contract),
-  :mod:`repro.devtools.lifetimes` is a resource-lifetime escape
-  analysis (REP603 leak on exceptional paths, REP604 memmap view
-  escaping its owning store), and :mod:`repro.devtools.rules_memory`
-  checks the :mod:`repro.devtools.contracts` ``@bounded_memory``
-  streaming-memory contracts (REP605/REP606).
-  :mod:`repro.devtools.report` renders text/JSON/SARIF output and
-  :mod:`repro.devtools.baseline` implements the
-  ``.repro-lint-baseline.json`` ratchet.  Runnable as
-  ``python -m repro.devtools.lint src/`` or ``repro lint``.
-  The full rule catalogue lives in ``docs/LINTING.md``.
+  flow-sensitive, per-file lint engine: the stateless per-statement rules
+  (REP001–REP006) and the docstring rule (REP301) live in ``lint.py``;
+  :mod:`repro.devtools.dataflow` provides per-function scope tables, a
+  CFG with def-use chains and origin tagging (RNG / graph / frozen /
+  set-ordered values); and :mod:`repro.devtools.rules_flow` builds the
+  RNG-discipline (REP1xx) and freeze-once-contract (REP2xx) rule
+  families on top of it.  :mod:`repro.devtools.report` renders
+  text/JSON/SARIF output and :mod:`repro.devtools.baseline` implements
+  the ``.repro-lint-baseline.json`` ratchet.  Runnable as
+  ``python -m repro.devtools.lint src/`` or ``repro lint``.  The rule
+  catalogue lives in ``docs/LINTING.md``, next to the tests and runtime
+  checks that guard the hazards no lint rule covers.
 * :mod:`repro.devtools.invariants` — runtime structural validation of
   :class:`~repro.graph.Graph` / :class:`~repro.graph.DiGraph` /
   :class:`~repro.graph.CSRGraph`, with an opt-in
@@ -42,10 +26,8 @@ codebase grows:
   catching order-dependent iteration and unseeded randomness at runtime.
 
 The library proper never imports :mod:`repro.devtools` (except for the
-lazy, opt-in invariant installation, and the dependency-free
-:mod:`repro.devtools.contracts` decorators that annotate streaming code
-with its memory contracts); the tooling depends on the library, not the
-other way around.
+lazy, opt-in invariant installation); the tooling depends on the
+library, not the other way around.
 """
 
 from __future__ import annotations
@@ -53,14 +35,7 @@ from __future__ import annotations
 __all__ = [
     "lint",
     "dataflow",
-    "callgraph",
-    "summaries",
     "rules_flow",
-    "rules_interproc",
-    "contracts",
-    "numeric",
-    "lifetimes",
-    "rules_memory",
     "report",
     "baseline",
     "invariants",

@@ -171,27 +171,3 @@ class Rule:
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
         )
-
-
-class ProgramRule(Rule):
-    """Base class for interprocedural (whole-program) rules.
-
-    Program rules (REP4xx/REP5xx) see every linted file at once instead of
-    one tree at a time: the driver builds a
-    :class:`~repro.devtools.callgraph.Program` over the batch and calls
-    :meth:`check_program` exactly once, in the parent process, after the
-    per-file rules have run — which keeps serial and ``--jobs`` output
-    byte-identical.  :meth:`check` is intentionally a no-op so a program
-    rule accidentally registered in a per-file pass finds nothing rather
-    than crashing.
-    """
-
-    #: Marker the driver keys on to route rules to the program pass.
-    interprocedural: bool = True
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Violation]:
-        return iter(())
-
-    def check_program(self, program) -> Iterator[Violation]:
-        """Yield violations over a whole :class:`Program`."""
-        raise NotImplementedError

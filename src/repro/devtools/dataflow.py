@@ -43,8 +43,6 @@ the AST object so the per-file cost is paid once across all flow rules.
 from __future__ import annotations
 
 import ast
-import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.devtools._base import _MATERIALIZERS
@@ -60,8 +58,6 @@ __all__ = [
     "ModuleInfo",
     "ModuleAnalysis",
     "analyze_module",
-    "analyze_source",
-    "source_digest",
     "dotted_path",
     "root_name",
 ]
@@ -69,19 +65,6 @@ __all__ = [
 # --------------------------------------------------------------------------
 # Scopes and symbol tables
 # --------------------------------------------------------------------------
-
-_SCOPE_NODES = (
-    ast.Module,
-    ast.FunctionDef,
-    ast.AsyncFunctionDef,
-    ast.Lambda,
-    ast.ClassDef,
-    ast.ListComp,
-    ast.SetComp,
-    ast.DictComp,
-    ast.GeneratorExp,
-)
-
 
 @dataclass
 class Symbol:
@@ -1097,42 +1080,3 @@ def analyze_module(tree: ast.Module) -> ModuleAnalysis:
     tree._repro_dataflow = analysis  # type: ignore[attr-defined]
     return analysis
 
-
-def source_digest(source: str) -> str:
-    """Content hash of one module's source text (cache key)."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-#: Content-addressed parse+analysis cache.  Keyed on the *source digest*,
-#: never on path identity or mtime: two files with identical content share
-#: one entry, and an in-process edit of a file (or a ``--jobs`` worker
-#: observing a stale mtime) can never be served a stale tree, because a
-#: changed byte changes the key.  Bounded LRU so long-lived processes
-#: (watch modes, test suites) don't grow without limit.
-_SOURCE_CACHE: "OrderedDict[str, tuple[ast.Module, ModuleAnalysis]]" = (
-    OrderedDict()
-)
-_SOURCE_CACHE_MAX = 512
-
-
-def analyze_source(
-    source: str, path: str = "<string>"
-) -> tuple[ast.Module, ModuleAnalysis]:
-    """Parse and analyze ``source``, keyed on its content hash.
-
-    Returns ``(tree, analysis)``; raises :class:`SyntaxError` for
-    unparsable input (never cached).  This is the entry point the lint
-    driver and the interprocedural program builder share, so one file
-    read feeds both the per-file flow rules and the whole-program pass.
-    """
-    key = source_digest(source)
-    hit = _SOURCE_CACHE.get(key)
-    if hit is not None:
-        _SOURCE_CACHE.move_to_end(key)
-        return hit
-    tree = ast.parse(source, filename=path)
-    analysis = analyze_module(tree)
-    _SOURCE_CACHE[key] = (tree, analysis)
-    while len(_SOURCE_CACHE) > _SOURCE_CACHE_MAX:
-        _SOURCE_CACHE.popitem(last=False)
-    return tree, analysis

@@ -6,18 +6,10 @@ substrate whose private adjacency dicts may only be *mutated* inside
 :mod:`repro.graph`, and (c) freezes graphs exactly once into
 :class:`~repro.engine.AnalysisContext` snapshots.  This module encodes
 those rules: the stateless per-statement family (REP001–REP006) and the
-documentation family (REP301) live here, the flow-sensitive families
+documentation family (REP301) live here, and the flow-sensitive families
 (REP1xx RNG discipline, REP2xx freeze-once contracts) in
 :mod:`repro.devtools.rules_flow` on top of the
-:mod:`repro.devtools.dataflow` core, the interprocedural families
-(REP4xx parallel safety, REP5xx cache soundness) in
-:mod:`repro.devtools.rules_interproc` on top of the
-:mod:`repro.devtools.callgraph` / :mod:`repro.devtools.summaries` layer,
-and the scale-soundness families (REP601/REP602 dtype intervals in
-:mod:`repro.devtools.numeric`, REP603/REP604 resource lifetimes in
-:mod:`repro.devtools.lifetimes`, REP605/REP606 streaming-memory
-contracts in :mod:`repro.devtools.rules_memory`) on the same program
-layer.
+:mod:`repro.devtools.dataflow` core.  Every rule sees one file at a time.
 
 Usage::
 
@@ -72,7 +64,6 @@ from repro.devtools._base import (
     _PRIVATE_ADJ,
     _SAFE_NUMPY_RANDOM,
     FileContext,
-    ProgramRule,
     Rule,
     Violation,
 )
@@ -82,14 +73,8 @@ from repro.devtools.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.devtools.callgraph import build_program, module_name_for_path
-from repro.devtools.dataflow import analyze_source
 from repro.devtools.report import FORMATS, render
-from repro.devtools.lifetimes import LIFETIME_RULES
-from repro.devtools.numeric import NUMERIC_RULES
 from repro.devtools.rules_flow import FLOW_RULES
-from repro.devtools.rules_interproc import INTERPROC_RULES
-from repro.devtools.rules_memory import MEMORY_RULES
 
 try:
     import tomllib
@@ -109,10 +94,6 @@ __all__ = [
     "BroadExceptRule",
     "DocstringCoverageRule",
     "FLOW_RULES",
-    "INTERPROC_RULES",
-    "NUMERIC_RULES",
-    "LIFETIME_RULES",
-    "MEMORY_RULES",
     "ALL_RULES",
     "lint_source",
     "lint_paths",
@@ -634,10 +615,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     BroadExceptRule,
     *FLOW_RULES,
     DocstringCoverageRule,
-    *INTERPROC_RULES,
-    *NUMERIC_RULES,
-    *LIFETIME_RULES,
-    *MEMORY_RULES,
 )
 
 _KNOWN_RULE_IDS = frozenset(rule.id for rule in ALL_RULES)
@@ -772,8 +749,8 @@ def _check_noqa_ids(lines: Sequence[str], path: str) -> list[Violation]:
                     Violation(
                         rule_id="REP000",
                         message=(
-                            f"unknown rule id '{rule_id}' in noqa comment; "
-                            "known ids: REP001..REP606 (see --list-rules)"
+                            f"unknown rule id '{rule_id}' in noqa comment "
+                            "(see --list-rules)"
                         ),
                         path=path,
                         line=lineno,
@@ -789,10 +766,7 @@ def lint_source(
     """Lint one source string; returns the unsuppressed violations."""
     config = config if config is not None else LintConfig()
     try:
-        # Parse through the content-hash cache so repeated lints of an
-        # unchanged module (watch loops, bench warm runs, the program
-        # pass below) reuse the tree *and* its dataflow analysis.
-        tree, _ = analyze_source(source, path)
+        tree = ast.parse(source, filename=path)
     except SyntaxError as error:
         return [
             Violation(
@@ -838,75 +812,6 @@ def _lint_one_file(item: tuple[str, LintConfig]) -> list[Violation]:
     return lint_source(source, path, config)
 
 
-def _run_program_rules(
-    files: Sequence[str], config: LintConfig
-) -> list[Violation]:
-    """Run the interprocedural rules (REP4xx–REP6xx) over one batch.
-
-    This always executes in the parent process, after the per-file pass:
-    the whole-program rules need every module at once, and running them
-    exactly once keeps serial and ``--jobs`` output byte-identical.
-    Files that fail to parse are skipped here — the per-file pass already
-    reported them as REP000.
-    """
-    program_rules = [
-        rule for rule in config.active_rules() if isinstance(rule, ProgramRule)
-    ]
-    if not program_rules:
-        return []
-    items: list[tuple[str, str, str]] = []
-    lines_by_path: dict[str, tuple[str, ...]] = {}
-    seen_modnames: set[str] = set()
-    for path in files:
-        try:
-            source = Path(path).read_text(encoding="utf-8")
-        except OSError:
-            continue
-        try:
-            analyze_source(source, path)
-        except SyntaxError:
-            continue
-        modname = module_name_for_path(path)
-        while modname in seen_modnames:
-            modname += "_"
-        seen_modnames.add(modname)
-        items.append((modname, path, source))
-        lines_by_path[path] = tuple(source.splitlines())
-    if not items:
-        return []
-    # A single pathological file must degrade this pass, not crash the
-    # whole lint: the per-file rules have already run, so on an analysis
-    # failure we warn and skip the interprocedural findings only.
-    try:
-        program = build_program(items)
-    except Exception as exc:  # repro: noqa[REP006] - guard of last resort
-        print(
-            "repro lint: interprocedural analysis failed "
-            f"({type(exc).__name__}: {exc}); skipping REP4xx-REP6xx",
-            file=sys.stderr,
-        )
-        return []
-    violations: list[Violation] = []
-    for rule in program_rules:
-        try:
-            found = list(rule.check_program(program))
-        except Exception as exc:  # repro: noqa[REP006] - guard of last resort
-            print(
-                f"repro lint: rule {rule.id} failed "
-                f"({type(exc).__name__}: {exc}); skipping it",
-                file=sys.stderr,
-            )
-            continue
-        for violation in found:
-            if violation.rule_id in config.path_ignored_rules(violation.path):
-                continue
-            lines = lines_by_path.get(violation.path, ())
-            if _suppressed(lines, violation.line, violation.rule_id):
-                continue
-            violations.append(violation)
-    return violations
-
-
 def lint_paths(
     paths: Iterable[str | Path],
     config: LintConfig | None = None,
@@ -917,9 +822,7 @@ def lint_paths(
 
     With ``jobs > 1`` files are linted in a process pool; results are
     merged in the (sorted) file-iteration order, so the output is
-    byte-identical to a single-process run.  The interprocedural rules
-    always run once, serially, in the parent — their findings are merged
-    into the owning file's block and re-sorted, preserving determinism.
+    byte-identical to a single-process run.
     """
     from repro import obs
     from repro.obs import instruments
@@ -935,22 +838,6 @@ def lint_paths(
                 per_file = pool.map(_lint_one_file, items)
         else:
             per_file = [_lint_one_file((path, config)) for path in files]
-        program_violations = _run_program_rules(files, config)
-        if program_violations:
-            by_path: dict[str, list[Violation]] = {}
-            for violation in program_violations:
-                by_path.setdefault(violation.path, []).append(violation)
-            sort_key = lambda v: (v.path, v.line, v.col, v.rule_id)  # noqa: E731
-            for index, path in enumerate(files):
-                extra = by_path.pop(path, None)
-                if extra:
-                    per_file[index] = sorted(
-                        [*per_file[index], *extra], key=sort_key
-                    )
-            # Paths the program reports that are not in the batch (never
-            # expected) still come out deterministically, at the end.
-            for path in sorted(by_path):
-                per_file.append(sorted(by_path[path], key=sort_key))
         violations: list[Violation] = []
         for result in per_file:
             violations.extend(result)
@@ -1015,7 +902,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point for ``python -m repro.devtools.lint``."""
     parser = argparse.ArgumentParser(
         prog="repro.devtools.lint",
-        description="Repo-specific AST lint pass (rules REP001-REP606)",
+        description="Repo-specific AST lint pass (rule ids: --list-rules)",
     )
     parser.add_argument("paths", nargs="*", default=["src"], help="files or dirs")
     parser.add_argument(

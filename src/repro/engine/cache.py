@@ -238,7 +238,11 @@ class ResultCache:
             with open(scratch, "wb") as handle:
                 np.savez(handle, **arrays)
             os.replace(scratch, path)
-        except OSError:  # pragma: no cover - full/readonly cache dir
+        except OSError:  # full or read-only cache dir: leave it uncached
+            pass
+        finally:
+            # Gone after a successful replace; after any failure, an
+            # interrupt included, the partial file must not linger.
             scratch.unlink(missing_ok=True)
 
     def load_score_table(

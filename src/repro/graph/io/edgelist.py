@@ -14,7 +14,6 @@ from typing import IO, Any
 
 import numpy as np
 
-from repro.devtools.contracts import bounded_memory
 from repro.exceptions import FormatError
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
@@ -58,7 +57,6 @@ def iter_edges(
                 raise FormatError(f"{path}:{line_number}: {exc}") from exc
 
 
-@bounded_memory("chunk")
 def iter_edge_chunks(
     path: str | Path, *, chunk_edges: int = 1 << 20
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -68,7 +66,8 @@ def iter_edge_chunks(
     files whose node ids are already integers: chunks feed
     :func:`repro.synth.stream.freeze_stream` directly, so an edge list
     far larger than RAM can be frozen into an on-disk CSR store without
-    a dict graph in between (see ``docs/SCALING.md``).
+    a dict graph in between (see ``docs/SCALING.md``).  At most one
+    chunk of ``chunk_edges`` pairs is held in memory at a time.
     """
     if chunk_edges < 1:
         raise ValueError("chunk_edges must be >= 1")

@@ -22,7 +22,9 @@ run per group slice rather than through ``reduceat``.
 :func:`score_matrix` is the one shared scoring stage: the parallel
 executor's workers, the service micro-batcher and the serial
 ``score_groups`` path all route through it, so the three call sites
-cannot drift (REP607 lints against reintroducing per-group loops).
+cannot drift (``tests/scoring/test_columnar_identity.py`` reads the
+``scoring.vectorized_calls`` and ``scoring.scalar_calls`` counters to
+pin that the serial paths score through it).
 """
 
 from __future__ import annotations

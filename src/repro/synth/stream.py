@@ -5,7 +5,8 @@ Python object in a set of sets.  This module is the scale path: a graph
 is described as an :class:`EdgeStream` (bounded numpy id-chunks, never a
 whole adjacency), and :func:`freeze_stream` turns any stream into an
 on-disk CSR directory (``docs/SCALING.md``) by spilling sorted key runs
-to disk and external-merging them — peak RAM is O(chunk + n), not O(m).
+to disk and external-merging them, so no Python-object adjacency is ever
+built (the merge's memory still grows with m; see :func:`freeze_stream`).
 
 Three stream families cover the use cases:
 
@@ -34,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.data.groups import Community, GroupSet
-from repro.devtools.contracts import audited_in_ram, bounded_memory
 from repro.exceptions import GraphError
 from repro.graph.convert import integer_index
 from repro.graph.csr import CSRDirWriter, is_identity_nodes, pack_edge_keys
@@ -86,7 +86,6 @@ class EdgeStream:
     directed: bool = False
     nodes: list | None = None
 
-    @bounded_memory("chunk")
     def edge_chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield ``(src_ids, dst_ids)`` int64 array pairs, any chunking."""
         raise NotImplementedError
@@ -165,11 +164,14 @@ class CommunityStream(EdgeStream):
         self.nodes = None
         self._groups: GroupSet | None = None
 
-    @audited_in_ram(
-        "the planted GroupSet holds O(num_communities) member frozensets, "
-        "bounded by config, not by the emitted edge count m"
-    )
     def edge_chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield each community's edges, then the Chung–Lu background.
+
+        Replaying the dict generator means holding one community's edge
+        set at a time and then the whole background edge set at once,
+        plus the planted :class:`GroupSet` — O(background edges +
+        total community size), not one bounded chunk.
+        """
         config = self.config
         rng = np.random.default_rng(self.seed)
         sizes = lognormal_sizes(
@@ -318,9 +320,12 @@ def benchmark_stream(num_edges: int, *, seed: int = 0, **kwargs) -> BenchmarkStr
 # -- external sort / merge ----------------------------------------------------
 
 
-@bounded_memory("run")
 class _RunSpiller:
     """Accumulates edge keys and spills them as sorted run files.
+
+    Memory is O(run_keys): one run's buffered keys (plus the chunk that
+    crosses the threshold) and the copies that sorting and writing the
+    run make.
 
     Use as a context manager: on exit — normal or exceptional — the
     buffered keys are dropped and every spilled run file is deleted, so
@@ -371,7 +376,6 @@ class _RunSpiller:
         self.paths = []
 
 
-@bounded_memory("chunk")
 def _merge_runs(
     paths: list[Path], *, block: int
 ) -> Iterator[np.ndarray]:
@@ -384,7 +388,9 @@ def _merge_runs(
     edges — collapse here, within and across blocks.  The run memmaps
     are unmapped on exit — including generator close and mid-merge
     exceptions — so the spill files can be deleted promptly even on
-    platforms where open mappings pin them.
+    platforms where open mappings pin them.  Each round holds up to
+    ``len(paths) * block`` keys plus their merged, sorted copy, so memory
+    grows with the number of runs.
     """
     runs = [np.memmap(path, dtype=np.int64, mode="r") for path in paths]
     try:
@@ -432,7 +438,6 @@ def _merge_runs(
                 mapping.close()
 
 
-@bounded_memory("chunk+n")
 def _merge_into(
     writer: CSRDirWriter,
     array_name: str,
@@ -480,7 +485,6 @@ def _validated_ids(
     return u, v
 
 
-@bounded_memory("chunk+n")
 def freeze_stream(
     stream: EdgeStream,
     directory: str | Path,
@@ -496,7 +500,12 @@ def freeze_stream(
     merge de-duplicates the runs and writes the CSR arrays chunk by
     chunk through :class:`~repro.graph.csr.CSRDirWriter`.  Directed
     streams get all three orientations (out/in/union) from the same
-    spill.  Peak RSS is O(chunk_edges + n), independent of m.
+    spill.  Peak memory is O(runs × chunk_edges + n), which is not
+    independent of m: the merge loads one ``chunk_edges`` block from
+    every spill run at once, and there is one run per 2²³ spilled keys.
+    With the default ``chunk_edges`` (half a run) each merge round loads
+    about one int64 key per edge and then sorts a merged copy
+    (``docs/SCALING.md`` §2).
 
     The resulting store opens via
     :meth:`repro.engine.AnalysisContext.open` with the same fingerprint

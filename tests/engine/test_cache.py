@@ -295,3 +295,36 @@ def test_empty_id_sets_roundtrip(tmp_path):
     cache = ResultCache(tmp_path)
     cache.store_id_sets("k", [])
     assert cache.load_id_sets("k") == []
+
+
+# -- interrupted writes -------------------------------------------------------
+
+
+def test_failed_replace_leaves_no_scratch_file(tmp_path, monkeypatch):
+    """A full or read-only cache dir skips the entry and leaves no file."""
+
+    def refuse(src, dst):
+        raise OSError("no space left on device")
+
+    cache = ResultCache(tmp_path)
+    monkeypatch.setattr("repro.engine.cache.os.replace", refuse)
+    cache.store_score_table("k", ["x"], [1], {"a": np.array([0.5])})
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == []
+    assert cache.load_score_table("k") is None
+
+
+def test_interrupted_write_leaves_no_scratch_file(tmp_path, monkeypatch):
+    """An interrupt mid-write propagates and removes the partial file."""
+
+    def interrupted_savez(handle, **arrays):
+        handle.write(b"PK\x03\x04 partial archive")
+        raise KeyboardInterrupt
+
+    cache = ResultCache(tmp_path)
+    monkeypatch.setattr("repro.engine.cache.np.savez", interrupted_savez)
+    with pytest.raises(KeyboardInterrupt):
+        cache.store_score_table("k2", ["x"], [1], {"a": np.array([0.5])})
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == []
+    assert cache.load_score_table("k2") is None

@@ -23,7 +23,7 @@ from repro.engine import (
     resolve_jobs,
     sample_matched_sets,
 )
-from repro.engine.parallel import shard_ranges
+from repro.engine.parallel import _worker_context, shard_ranges
 from repro.exceptions import ParallelError
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
@@ -219,6 +219,54 @@ def test_worker_crash_surfaces_as_parallel_error():
                 graph_median_degree=None,
                 include_internal_adjacency=False,
             )
+
+
+def _probe_worker_writes() -> tuple[list[str], list[str]]:
+    """Write one element of each shared array of the worker's context.
+
+    Returns every probed array name and the names that took the write.
+    """
+    context = _worker_context()
+    arrays = {"degree_array": context.degree_array}
+    for orientation, csr in (
+        ("union", context.csr),
+        ("out", context.csr_out),
+        ("in", context.csr_in),
+    ):
+        if csr is not None:
+            arrays[f"{orientation}.indptr"] = csr.indptr
+            arrays[f"{orientation}.indices"] = csr.indices
+    writable = []
+    for name, array in arrays.items():
+        try:
+            array[0] = array[0]
+        except ValueError:
+            continue
+        writable.append(name)
+    return sorted(arrays), writable
+
+
+@pytest.mark.parametrize("source", ["in_memory", "opened_store"])
+def test_workers_cannot_write_the_shared_context(source, tmp_path):
+    """Shared-memory and file-backed exports both attach read-only."""
+    context = AnalysisContext(scrambled_graph(directed=True))
+    if source == "opened_store":
+        context = AnalysisContext.open(context.save(tmp_path / "store"))
+    with ParallelExecutor(context, jobs=2) as executor:
+        pool = executor._ensure_pool()
+        kind = executor._shared.spec["degree"]["kind"]
+        probed, writable = pool.submit(_probe_worker_writes).result()
+    assert kind == ("shm" if source == "in_memory" else "file")
+    assert probed == [
+        "degree_array",
+        "in.indices",
+        "in.indptr",
+        "out.indices",
+        "out.indptr",
+        "union.indices",
+        "union.indptr",
+    ]
+    assert writable == []
 
 
 def test_executor_close_is_idempotent():

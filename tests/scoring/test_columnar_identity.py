@@ -122,3 +122,61 @@ def test_empty_batch_scores_to_zero_by_f_matrix():
     matrix = score_matrix(functions, batch)
     assert matrix.shape == (0, len(functions))
     assert matrix.dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "entry", ["score_groups", "score_member_lists", "parallel_shard"]
+)
+def test_production_scoring_goes_through_score_matrix(entry, monkeypatch):
+    """Each scoring entry point dispatches every function's batch kernel
+    exactly once and never takes the per-group scalar loop.
+
+    ``parallel_shard`` runs the ``--jobs`` worker task in-process, with
+    metrics on, against the worker's context slot: real workers run with
+    metrics off, so their counters never reach the parent.
+    """
+    from repro import obs
+    from repro.data.groups import GroupSet, VertexGroup
+    from repro.engine import parallel
+    from repro.obs import instruments
+    from repro.scoring.registry import make_paper_functions, score_groups
+    from repro.service.batching import score_member_lists
+
+    graph = Graph()
+    for u in range(30):
+        graph.add_edge(u, (u + 1) % 30)
+        graph.add_edge(u, (u * 7 + 3) % 30)
+    context = AnalysisContext(graph)
+    member_lists = [list(range(start, start + 6)) for start in range(0, 25, 5)]
+    functions = make_paper_functions()
+
+    obs.REGISTRY.reset()
+    obs.enable_metrics()
+    try:
+        if entry == "score_groups":
+            groups = GroupSet(
+                groups=[
+                    VertexGroup(name=f"g{i}", members=frozenset(members))
+                    for i, members in enumerate(member_lists)
+                ]
+            )
+            score_groups(context, groups, functions, jobs=1, cache=False)
+        elif entry == "score_member_lists":
+            id_lists = [context.vertex_ids(members) for members in member_lists]
+            score_member_lists(context, member_lists, id_lists, functions)
+        else:
+            monkeypatch.setitem(parallel._WORKER, "context", context)
+            id_lists = [context.vertex_ids(members) for members in member_lists]
+            parallel._score_shard(
+                id_lists, functions, context.median_degree, False
+            )
+        vectorized = {
+            function.name: instruments.SCORING_VECTORIZED.value(function.name)
+            for function in functions
+        }
+        scalar = instruments.SCORING_SCALAR.total()
+    finally:
+        obs.disable()
+        obs.REGISTRY.reset()
+    assert vectorized == {function.name: 1 for function in functions}
+    assert scalar == 0
