@@ -2,10 +2,10 @@
 # One-command correctness gate, in order: the custom lint pass (findings,
 # baseline ratchet and a SARIF artifact, each on 2 jobs), the
 # seed-determinism check on the fast pipelines under two hash seeds
-# (outputs must match), engine-vs-legacy identity smoke, parallel-identity
-# smoke, observability overhead smoke (with a sample trace artifact),
-# out-of-core scale smoke, service QPS smoke, columnar scoring bench, the
-# bench-trajectory regression gate, then the tier-1 test suite.
+# (outputs must match), parallel-identity smoke, observability overhead
+# smoke (with a sample trace artifact), out-of-core scale smoke, service
+# QPS smoke, columnar scoring bench, the bench-trajectory regression
+# gate, then the tier-1 test suite.
 # Exits non-zero on the first failure so it can gate PRs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -34,9 +34,6 @@ for hash_seed in 5 47; do
         | tee "$BENCH_OUT/determinism-$hash_seed.txt"
 done
 diff "$BENCH_OUT/determinism-5.txt" "$BENCH_OUT/determinism-47.txt"
-
-echo "== engine scoring smoke (bit-identity vs legacy) =="
-python benchmarks/bench_engine_scoring.py --smoke
 
 echo "== parallel scoring smoke (Fig. 5 serial vs --jobs 2, CSV byte diff) =="
 python benchmarks/bench_parallel_scoring.py --smoke --jobs 2 \

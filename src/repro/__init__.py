@@ -64,13 +64,12 @@ from repro.data import (
     GroupSet,
     VertexGroup,
 )
+from repro.engine import random_walk_set
 from repro.graph import CSRGraph, DiGraph, Graph, to_directed, to_undirected
-from repro.sampling import random_walk_set
 from repro.scoring import (
     GroupStats,
     Modularity,
     NullModelEnsemble,
-    compute_group_stats,
     make_all_functions,
     make_function,
     make_paper_functions,
@@ -152,7 +151,6 @@ __all__ = [
     "MAGNO_REFERENCE",
     # scoring
     "GroupStats",
-    "compute_group_stats",
     "Modularity",
     "NullModelEnsemble",
     "make_function",

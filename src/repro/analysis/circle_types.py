@@ -25,7 +25,6 @@ import numpy as np
 from repro.data.groups import Circle, GroupSet
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
-from repro.scoring.base import compute_group_stats
 
 Node = Hashable
 
@@ -96,9 +95,11 @@ def circle_features(
     members = [node for node in circle.members if node in graph]
     if not members:
         raise ValueError(f"circle {circle.name!r} has no members in the graph")
-    stats = compute_group_stats(graph, members)
-    possible = stats.possible_internal_edges
-    density = stats.m_C / possible if possible else 0.0
+    m_C = graph.subgraph(members).number_of_edges()
+    possible = len(members) * (len(members) - 1)
+    if not graph.is_directed:
+        possible //= 2
+    density = m_C / possible if possible else 0.0
     owner = circle.owner
     if owner is not None and owner in graph:
         if graph.is_directed:

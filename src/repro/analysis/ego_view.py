@@ -25,7 +25,12 @@ from repro.engine import AnalysisContext
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
 from repro.scoring.base import ScoringFunction
-from repro.scoring.registry import make_paper_functions, score_group
+from repro.scoring.columnar import score_stats_columns
+from repro.scoring.internal import (
+    FractionOverMedianDegree,
+    TriangleParticipationRatio,
+)
+from repro.scoring.registry import make_paper_functions
 
 __all__ = ["EgoViewResult", "ego_centered_scores"]
 
@@ -99,41 +104,62 @@ def ego_centered_scores(
     :class:`~repro.engine.AnalysisContext` of it.  The joined corpus is
     frozen exactly once; each ego network is materialized and frozen into
     its own local context (the ego itself is part of the local graph, as
-    it would be in a private ego-centred crawl).
+    it would be in a private ego-centred crawl).  Each ego network's
+    circles are scored in one batch on its context, and all circles in
+    one batch on the joined context.
     """
     functions = functions or make_paper_functions()
     joined_context = AnalysisContext.ensure(
         joined if joined is not None else collection.join()
     )
+    needs_median = any(
+        isinstance(function, FractionOverMedianDegree)
+        for function in functions
+    )
+    needs_adjacency = any(
+        isinstance(function, TriangleParticipationRatio)
+        for function in functions
+    )
+
+    def score(context: AnalysisContext, member_lists: list) -> np.ndarray:
+        median = context.median_degree if needs_median else None
+        _, matrix = score_stats_columns(
+            context,
+            member_lists,
+            functions,
+            graph_median_degree=median,
+            include_internal_adjacency=needs_adjacency,
+        )
+        return matrix
 
     circle_names: list[str] = []
     owners: list[object] = []
-    local_rows: list[dict[str, float]] = []
-    global_rows: list[dict[str, float]] = []
+    local_parts = [np.empty((0, len(functions)))]
+    global_members: list[list] = []
     for network in collection:
         local_context = AnalysisContext(network.graph())
+        local_members: list[list] = []
         for circle in network.circles:
-            members = [node for node in circle.members if node in local_context]
+            members = [
+                node for node in circle.members if node in local_context
+            ]
             if len(members) < min_group_size:
                 continue
-            global_members = [
+            joined_members = [
                 node for node in circle.members if node in joined_context
             ]
-            if len(global_members) < min_group_size:
+            if len(joined_members) < min_group_size:
                 continue
             circle_names.append(f"{network.ego}/{circle.name}")
             owners.append(network.ego)
-            local_rows.append(score_group(local_context, members, functions))
-            global_rows.append(
-                score_group(joined_context, global_members, functions)
-            )
+            local_members.append(members)
+            global_members.append(joined_members)
+        local_parts.append(score(local_context, local_members))
+    local = np.concatenate(local_parts)
+    global_ = score(joined_context, global_members)
 
     result = EgoViewResult(circle_names=circle_names, owners=owners)
-    for function in functions:
-        result.local[function.name] = np.array(
-            [row[function.name] for row in local_rows], dtype=np.float64
-        )
-        result.global_[function.name] = np.array(
-            [row[function.name] for row in global_rows], dtype=np.float64
-        )
+    for j, function in enumerate(functions):
+        result.local[function.name] = np.ascontiguousarray(local[:, j])
+        result.global_[function.name] = np.ascontiguousarray(global_[:, j])
     return result

@@ -88,10 +88,10 @@ def circles_vs_random(
 ) -> CirclesVsRandomResult:
     """Run the Fig. 5 experiment: score circles against matched random sets.
 
-    ``sampler`` selects the baseline generator (``random_walk`` is the
-    paper's choice; see :mod:`repro.engine.samplers` for the CSR-native
-    implementations and :mod:`repro.sampling.random_sets` for the ablation
-    alternatives).  Groups smaller than ``min_group_size`` (after
+    ``sampler`` selects the baseline generator: ``random_walk`` is the
+    paper's choice, and ``uniform``, ``bfs_ball`` and ``forest_fire`` are
+    the ablation alternatives (all in :mod:`repro.engine.samplers`).
+    Groups smaller than ``min_group_size`` (after
     restriction to the graph) are skipped — a single vertex scores
     degenerately under every function.
 

@@ -11,7 +11,8 @@ randomness, hash-order iteration leaking into output, shared mutable
 state — fails loudly with the first differing position.
 
 A default registry covers one or more pipelines in each stochastic
-package (``sampling/``, ``nullmodel/``, ``detection/``, ``synth/``)::
+package (the ``engine/`` samplers, ``nullmodel/``, ``detection/``,
+``synth/``)::
 
     python -m repro.devtools.determinism            # check all
     python -m repro.devtools.determinism --fast     # skip slow pipelines
@@ -228,21 +229,23 @@ def _base_graph() -> Graph:
 
 @register_pipeline("sampling.random_walk")
 def _pipeline_random_walk(seed: int) -> object:
-    from repro.sampling.random_walk import matched_random_sets
+    from repro.engine import sample_matched_sets
 
-    return matched_random_sets(_base_graph(), [5, 8, 13], seed=seed)
+    return sample_matched_sets(
+        _base_graph(), [5, 8, 13], "random_walk", seed=seed
+    )
 
 
 @register_pipeline("sampling.forest_fire")
 def _pipeline_forest_fire(seed: int) -> object:
-    from repro.sampling.random_sets import sample_matched_sets
+    from repro.engine import sample_matched_sets
 
     return sample_matched_sets(_base_graph(), [6, 9], "forest_fire", seed=seed)
 
 
 @register_pipeline("sampling.bfs_ball")
 def _pipeline_bfs_ball(seed: int) -> object:
-    from repro.sampling.random_sets import sample_matched_sets
+    from repro.engine import sample_matched_sets
 
     return sample_matched_sets(_base_graph(), [6, 9], "bfs_ball", seed=seed)
 

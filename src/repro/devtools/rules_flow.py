@@ -50,7 +50,6 @@ _PIPELINE_FUNCS = frozenset(
         "bfs_ball_set",
         "uniform_vertex_set",
         "forest_fire_set",
-        "matched_random_sets",
         "sample_matched_sets",
         "louvain_communities",
         "label_propagation_communities",

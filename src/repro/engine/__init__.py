@@ -5,27 +5,25 @@ The engine layer sits between the mutable dict-adjacency substrate
 :mod:`repro.analysis`, the CLI).  Its contract is **freeze once**: an
 :class:`AnalysisContext` snapshots a graph into CSR form plus cached
 degree arrays, edge count and median degree, and every downstream pass —
-:func:`batch_group_stats`, the CSR-native samplers, the Fig. 5/6/§IV-B
+:func:`batch_group_stats_columns`, the samplers, the Fig. 5/6/§IV-B
 experiment drivers — reads that one snapshot instead of re-deriving its
 own view per group.
 
-The legacy per-group dict path
-(:func:`repro.scoring.base.compute_group_stats`) remains the correctness
-oracle; the engine is the production path.
+Each stage has one production implementation here: the columnar stats
+pass and the CSR samplers.  The label-level implementations they
+replaced live in ``tests/oracles/``, where the identity tests compare
+against them.
 """
 
-from repro.engine.batch import (
-    batch_group_stats,
-    batch_group_stats_columns,
-    group_stats,
-)
+from repro.engine.batch import batch_group_stats_columns
 from repro.engine.cache import ResultCache, function_tokens, query_key
 from repro.engine.context import AnalysisContext, CSRBuffers
-from repro.engine.delta import ContextDelta, rescore_groups, rescore_groups_columns
+from repro.engine.delta import ContextDelta, rescore_groups_columns
 from repro.engine.parallel import ParallelExecutor, resolve_jobs
 from repro.engine.samplers import (
     ENGINE_SAMPLERS,
     bfs_ball_set,
+    forest_fire_set,
     random_walk_set,
     sample_matched_sets,
     uniform_vertex_set,
@@ -35,17 +33,15 @@ __all__ = [
     "AnalysisContext",
     "CSRBuffers",
     "ContextDelta",
-    "rescore_groups",
     "rescore_groups_columns",
     "ParallelExecutor",
     "ResultCache",
     "function_tokens",
     "query_key",
-    "batch_group_stats",
     "batch_group_stats_columns",
-    "group_stats",
     "random_walk_set",
     "bfs_ball_set",
+    "forest_fire_set",
     "uniform_vertex_set",
     "ENGINE_SAMPLERS",
     "sample_matched_sets",

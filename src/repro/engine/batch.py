@@ -1,11 +1,11 @@
-"""Vectorized batch computation of :class:`~repro.scoring.base.GroupStats`.
+"""Vectorized batch computation of group statistics.
 
-The legacy :func:`~repro.scoring.base.compute_group_stats` sweeps Python
-set adjacency once per group; at hundreds of groups that interpreter
-overhead dominates every Fig. 5/6 run.  :func:`batch_group_stats` computes
-the same statistics for *all* groups at once with no per-group numpy
-calls, choosing between two membership kernels over one flat member
-layout:
+Sweeping Python set adjacency once per group costs interpreter overhead
+that dominates every Fig. 5/6 run at hundreds of groups.
+:func:`batch_group_stats_columns` computes the statistics of *all* groups
+at once, as one :class:`~repro.scoring.columnar.GroupStatsBatch`, with no
+per-group numpy calls, choosing between two membership kernels over one
+flat member layout:
 
 * **pairs** — enumerate every ``(u, v)`` member pair per group
   (:math:`\\sum_C n_C^2` probes) and test adjacency in O(1) against the
@@ -32,10 +32,10 @@ binary-searched once more to find its member position.  Temporaries are
 bounded by the chunk, not by the batch.
 
 ``strategy="auto"`` picks whichever predicts fewer touched entries for
-the batch.  The legacy per-group path stays in :mod:`repro.scoring.base`
-as the correctness oracle; ``tests/engine/test_batch_stats.py`` asserts
-both kernels are bit-identical to it on random directed and undirected
-graphs.
+the batch.  This is the one production stats pass; the legacy per-group
+dict sweep lives in ``tests/oracles/stats.py``, and
+``tests/engine/test_batch_stats.py`` asserts both kernels are
+bit-identical to it on random directed and undirected graphs.
 """
 
 from __future__ import annotations
@@ -50,14 +50,13 @@ from repro.engine.context import AnalysisContext
 from repro.exceptions import EmptyGroupError
 from repro.obs import instruments
 from repro.graph.csr import CSRGraph
-from repro.scoring.base import GroupStats
 from repro.scoring.columnar import GroupStatsBatch
 
 Node = Hashable
 
 Strategy = Literal["auto", "pairs", "gather"]
 
-__all__ = ["batch_group_stats", "batch_group_stats_columns", "group_stats"]
+__all__ = ["batch_group_stats_columns"]
 
 #: Most gathered entries one gather chunk holds (a single member row may
 #: exceed it); bounds the kernel's temporaries independently of the batch.
@@ -346,92 +345,15 @@ class _MemberTable:
         return np.add.reduceat(per_member, self.group_offsets[:-1])
 
 
-def batch_group_stats(
-    context: AnalysisContext,
-    groups: Iterable[Iterable[Node]],
-    *,
-    graph_median_degree: float | None = None,
-    include_internal_adjacency: bool = False,
-    strategy: Strategy = "auto",
-) -> list[GroupStats]:
-    """Compute :class:`GroupStats` for every member iterable in ``groups``.
-
-    Semantics match :func:`repro.scoring.base.compute_group_stats` exactly
-    (same dedup, same error types, bit-identical counts and arrays); the
-    whole batch shares one frozen context and one vectorized membership
-    pass per orientation.  ``include_internal_adjacency`` additionally
-    fills ``member_internal_neighbors`` (needed only by TPR).
-    ``strategy`` selects the membership kernel; the default ``"auto"``
-    compares the two kernels' predicted entry counts for the batch.
-    """
-    with obs.span("engine.score_batch"):
-        return _batch_group_stats(
-            context,
-            groups,
-            graph_median_degree=graph_median_degree,
-            include_internal_adjacency=include_internal_adjacency,
-            strategy=strategy,
-        )
-
-
-class _ColumnPass:
-    """One membership pass's column arrays, shared by both assemblies.
-
-    The struct-of-arrays core of the batch kernels: everything
-    :func:`batch_group_stats` needs to assemble per-group objects and
-    everything :func:`batch_group_stats_columns` packs verbatim into a
-    :class:`~repro.scoring.columnar.GroupStatsBatch`.
-    """
-
-    __slots__ = (
-        "member_tuples",
-        "table",
-        "degrees",
-        "internal",
-        "in_degrees",
-        "out_degrees",
-        "m_C_group",
-        "boundary_group",
-        "adjacency_rows",
-    )
-
-    def __init__(
-        self,
-        member_tuples: list[tuple[Node, ...]],
-        table: _MemberTable,
-        degrees: np.ndarray,
-        internal: np.ndarray,
-        in_degrees: np.ndarray,
-        out_degrees: np.ndarray,
-        m_C_group: np.ndarray,
-        boundary_group: np.ndarray,
-        adjacency_rows: list[np.ndarray] | None,
-    ) -> None:
-        self.member_tuples = member_tuples
-        self.table = table
-        self.degrees = degrees
-        self.internal = internal
-        self.in_degrees = in_degrees
-        self.out_degrees = out_degrees
-        self.m_C_group = m_C_group
-        self.boundary_group = boundary_group
-        self.adjacency_rows = adjacency_rows
-
-
 def _batch_member_columns(
     context: AnalysisContext,
     groups: Iterable[Iterable[Node]],
     *,
+    graph_median_degree: float | None,
     include_internal_adjacency: bool,
     strategy: Strategy,
-) -> _ColumnPass | None:
-    """Run one membership pass and return its column arrays.
-
-    Returns ``None`` for an empty batch.  This is the struct-of-arrays
-    core shared by the object assembly (:func:`batch_group_stats`) and
-    the columnar one (:func:`batch_group_stats_columns`); the two only
-    differ in how they package these arrays.
-    """
+) -> GroupStatsBatch:
+    """Run one membership pass and pack its column arrays into a batch."""
     n = context.num_vertices
 
     member_tuples: list[tuple[Node, ...]] = []
@@ -445,7 +367,13 @@ def _batch_member_columns(
         sizes_list.append(len(member_tuple))
         labels_flat.extend(member_tuple)
     if not member_tuples:
-        return None
+        return GroupStatsBatch.empty(
+            n=n,
+            m=context.num_edges,
+            directed=context.is_directed,
+            graph_median_degree=graph_median_degree,
+            with_neighbors=include_internal_adjacency,
+        )
 
     # Map every label of the batch in one pass; the first unknown label
     # raises NodeNotFound.
@@ -512,77 +440,25 @@ def _batch_member_columns(
         out_degrees = zeros
     boundary_group = table.group_sum(degrees) - table.group_sum(internal)
 
-    return _ColumnPass(
-        member_tuples,
-        table,
-        degrees,
-        internal,
-        in_degrees,
-        out_degrees,
-        m_C_group,
-        boundary_group,
-        adjacency_rows,
+    neighbors: tuple[np.ndarray, ...] | None = None
+    if adjacency_rows is not None:
+        neighbors = tuple(adjacency_rows)
+    return GroupStatsBatch(
+        n=n,
+        m=context.num_edges,
+        directed=directed,
+        graph_median_degree=graph_median_degree,
+        members=tuple(member_tuples),
+        n_C=table.sizes,
+        m_C=m_C_group,
+        c_C=boundary_group,
+        group_offsets=table.group_offsets,
+        member_degrees=degrees,
+        member_internal_degrees=internal,
+        member_in_degrees=in_degrees,
+        member_out_degrees=out_degrees,
+        member_internal_neighbors=neighbors,
     )
-
-
-def _batch_group_stats(
-    context: AnalysisContext,
-    groups: Iterable[Iterable[Node]],
-    *,
-    graph_median_degree: float | None,
-    include_internal_adjacency: bool,
-    strategy: Strategy,
-) -> list[GroupStats]:
-    context = AnalysisContext.ensure(context)
-    columns = _batch_member_columns(
-        context,
-        groups,
-        include_internal_adjacency=include_internal_adjacency,
-        strategy=strategy,
-    )
-    if columns is None:
-        return []
-    n = context.num_vertices
-    m = context.num_edges
-    directed = context.is_directed
-    degrees = columns.degrees
-    internal = columns.internal
-    in_degrees = columns.in_degrees
-    out_degrees = columns.out_degrees
-    adjacency_rows = columns.adjacency_rows
-
-    # Plain-int copies keep the assembly loop free of numpy scalar churn,
-    # and the frozen-dataclass __init__ (13 object.__setattr__ calls per
-    # group) is bypassed with one __dict__.update; GroupStats defines no
-    # __post_init__ or __slots__, so the instances are indistinguishable.
-    offsets = columns.table.group_offsets.tolist()
-    m_C_list = columns.m_C_group.tolist()
-    boundary_list = columns.boundary_group.tolist()
-    new_stats = GroupStats.__new__
-    results: list[GroupStats] = []
-    for g, member_tuple in enumerate(columns.member_tuples):
-        lo, hi = offsets[g], offsets[g + 1]
-        internal_neighbors: tuple[np.ndarray, ...] | None = None
-        if adjacency_rows is not None:
-            internal_neighbors = tuple(adjacency_rows[lo:hi])
-        stats = new_stats(GroupStats)
-        stats.__dict__.update(
-            members=member_tuple,
-            n=n,
-            m=m,
-            n_C=hi - lo,
-            m_C=m_C_list[g],
-            c_C=boundary_list[g],
-            directed=directed,
-            member_degrees=degrees[lo:hi],
-            member_internal_degrees=internal[lo:hi],
-            member_in_degrees=in_degrees[lo:hi],
-            member_out_degrees=out_degrees[lo:hi],
-            graph_median_degree=graph_median_degree,
-            member_internal_neighbors=internal_neighbors,
-        )
-        results.append(stats)
-    return results
 
 
 def batch_group_stats_columns(
@@ -595,62 +471,26 @@ def batch_group_stats_columns(
 ) -> GroupStatsBatch:
     """Compute a columnar :class:`GroupStatsBatch` for ``groups``.
 
-    Run the same membership pass as :func:`batch_group_stats` and pack
-    its column arrays directly — no per-group object is ever
-    assembled.  Every field matches the object path bit for bit
-    (``GroupStatsBatch.row(i)`` reconstructs the ``i``-th
-    :class:`GroupStats` on demand); the columnar scoring kernels in
-    :mod:`repro.scoring.columnar` consume the batch wholesale.
+    Each group's members are deduplicated in first-seen order; an empty
+    group raises :class:`~repro.exceptions.EmptyGroupError` and an
+    unknown label :class:`~repro.exceptions.NodeNotFound`.  Directed
+    conventions match the paper: ``m_C`` counts each internal arc once,
+    ``c_C`` counts boundary arcs of either direction, ``d(v) = d_in +
+    d_out``.  The whole batch shares one frozen context and one
+    vectorized membership pass per orientation, and no per-group object
+    is ever assembled: ``GroupStatsBatch.row(i)`` reconstructs the
+    ``i``-th :class:`~repro.scoring.base.GroupStats` on demand, and the
+    columnar scoring kernels in :mod:`repro.scoring.columnar` consume the
+    batch wholesale.  ``include_internal_adjacency`` additionally fills
+    ``member_internal_neighbors`` (needed only by TPR).  ``strategy``
+    selects the membership kernel; the default ``"auto"`` compares the
+    two kernels' predicted entry counts for the batch.
     """
     with obs.span("engine.score_batch"):
-        context = AnalysisContext.ensure(context)
-        columns = _batch_member_columns(
-            context,
+        return _batch_member_columns(
+            AnalysisContext.ensure(context),
             groups,
+            graph_median_degree=graph_median_degree,
             include_internal_adjacency=include_internal_adjacency,
             strategy=strategy,
         )
-        if columns is None:
-            return GroupStatsBatch.empty(
-                n=context.num_vertices,
-                m=context.num_edges,
-                directed=context.is_directed,
-                graph_median_degree=graph_median_degree,
-                with_neighbors=include_internal_adjacency,
-            )
-        table = columns.table
-        neighbors: tuple[np.ndarray, ...] | None = None
-        if columns.adjacency_rows is not None:
-            neighbors = tuple(columns.adjacency_rows)
-        return GroupStatsBatch(
-            n=context.num_vertices,
-            m=context.num_edges,
-            directed=context.is_directed,
-            graph_median_degree=graph_median_degree,
-            members=tuple(columns.member_tuples),
-            n_C=table.sizes,
-            m_C=columns.m_C_group,
-            c_C=columns.boundary_group,
-            group_offsets=table.group_offsets,
-            member_degrees=columns.degrees,
-            member_internal_degrees=columns.internal,
-            member_in_degrees=columns.in_degrees,
-            member_out_degrees=columns.out_degrees,
-            member_internal_neighbors=neighbors,
-        )
-
-
-def group_stats(
-    context: AnalysisContext,
-    members: Iterable[Node],
-    *,
-    graph_median_degree: float | None = None,
-    include_internal_adjacency: bool = False,
-) -> GroupStats:
-    """Single-group convenience wrapper around :func:`batch_group_stats`."""
-    return batch_group_stats(
-        context,
-        [members],
-        graph_median_degree=graph_median_degree,
-        include_internal_adjacency=include_internal_adjacency,
-    )[0]

@@ -16,7 +16,7 @@ consumer shares:
 The contract is **freeze once, read forever**: a context never observes
 later mutations of the source graph.  Construct it after the graph is
 final, then hand the *context* (not the graph) to
-:func:`repro.engine.batch_group_stats`, the CSR-native samplers and the
+:func:`repro.engine.batch_group_stats_columns`, the samplers and the
 experiment drivers.
 """
 
@@ -89,8 +89,8 @@ class AnalysisContext:
     Attributes
     ----------
     graph:
-        The source graph (kept for label-level protocols such as the
-        forest-fire sampler; the engine kernels never touch its dicts).
+        The source graph, or ``None`` for a context assembled from
+        frozen parts; the engine kernels and samplers never touch it.
     csr:
         Union-orientation CSR snapshot (undirected skeleton).
     csr_out, csr_in:
@@ -166,8 +166,8 @@ class AnalysisContext:
         exported arrays (the shared-memory workers, :meth:`open`, the
         delta path): no graph traversal, no freeze span, no re-derivation
         of caches the parent already computed.  ``graph`` may be ``None``
-        — such a context serves the CSR kernels and samplers but not
-        label-level protocols; ``name`` then identifies it in manifests.
+        — such a context serves every kernel and sampler; ``name`` then
+        identifies it in manifests.
         Provided arrays are validated like every frozen buffer (int64,
         contiguous, no writable aliasing) but never copied.
         """
@@ -446,9 +446,9 @@ class AnalysisContext:
         """Rank of every vertex's label in deterministic label order.
 
         ``label_rank[i]`` is the position label ``nodes[i]`` takes in
-        :func:`repro.graph.convert.stable_sorted` order.  The CSR-native
-        samplers order candidate ids by this rank so they replay the
-        legacy label-level samplers' random sequences exactly.
+        :func:`repro.graph.convert.stable_sorted` order.  The samplers
+        order candidate ids by this rank so they replay the legacy
+        label-level samplers' random sequences exactly.
         """
         if self._label_rank is None:
             nodes = self.csr.nodes

@@ -1,14 +1,16 @@
-"""CSR-native vertex-set samplers over a frozen :class:`AnalysisContext`.
+"""Vertex-set samplers over a frozen :class:`AnalysisContext`.
 
-These reimplement the paper's random-walk baseline (Fig. 5) and the
-uniform/BFS-ball ablation samplers on integer vertex ids: the walk state
+The paper's random-walk baseline (Fig. 5) and the uniform, BFS-ball and
+forest-fire ablation samplers, on integer vertex ids: the sampler state
 is a boolean mask plus CSR row slices, and node labels appear only at the
-boundary (the returned sets).
+boundary (the returned sets).  These are the only production samplers;
+every one runs serially, in the ``--jobs`` workers and from the cache.
 
-**Replay guarantee.**  Each sampler consumes randomness exactly like its
-label-level counterpart in :mod:`repro.sampling` — ``random.Random``
-draws depend only on candidate-list *lengths*, so ordering candidate ids
-by :attr:`~repro.engine.context.AnalysisContext.label_rank` (the
+**Replay guarantee.**  Each sampler consumes randomness exactly like the
+label-level implementation it replaced (kept in ``tests/oracles/``) —
+``random.Random`` draws depend only on candidate-list *lengths*, so
+ordering candidate ids by
+:attr:`~repro.engine.context.AnalysisContext.label_rank` (the
 :func:`~repro.graph.convert.stable_sorted` order of their labels) makes
 every draw pick the same vertex.  Same seed, same sample, whichever
 substrate runs it; ``tests/engine/test_engine_samplers.py`` pins this,
@@ -62,11 +64,15 @@ Node = Hashable
 __all__ = [
     "random_walk_set",
     "bfs_ball_set",
+    "forest_fire_set",
     "uniform_vertex_set",
     "ENGINE_SAMPLERS",
     "SAMPLER_IDS",
     "sample_matched_sets",
 ]
+
+#: Chance that forest fire burns each fresh neighbour it reaches.
+BURN_PROBABILITY = 0.7
 
 
 def _resolve_rng(seed: int | random.Random | None) -> random.Random:
@@ -153,10 +159,19 @@ def _random_walk_ids(
     return np.array(members, dtype=np.int64)
 
 
-def _bfs_ball_ids(
-    context: AnalysisContext, size: int, rng: random.Random
+def _grown_ids(
+    context: AnalysisContext,
+    size: int,
+    rng: random.Random,
+    burn_probability: float | None,
 ) -> np.ndarray:
-    """Id-level BFS ball; returns the collected ids sorted ascending."""
+    """Grow a ball breadth-first; returns the collected ids sorted ascending.
+
+    Each fresh neighbour is collected outright (BFS ball), or, given a
+    ``burn_probability``, only when one ``rng.random()`` draw falls at or
+    below it (forest fire).  Growth restarts from a fresh random root
+    whenever the queue runs dry.
+    """
     n = _check_size(context, size)
     indptr, indices = context.csr.indptr, context.csr.indices
     rank = context.label_rank
@@ -180,10 +195,25 @@ def _bfs_ball_ids(
         for other in fresh:
             if count >= size:
                 break
-            collected[other] = True
-            count += 1
-            queue.append(other)
+            if burn_probability is None or rng.random() <= burn_probability:
+                collected[other] = True
+                count += 1
+                queue.append(other)
     return np.flatnonzero(collected)
+
+
+def _bfs_ball_ids(
+    context: AnalysisContext, size: int, rng: random.Random
+) -> np.ndarray:
+    """Id-level BFS ball; returns the collected ids sorted ascending."""
+    return _grown_ids(context, size, rng, None)
+
+
+def _forest_fire_ids(
+    context: AnalysisContext, size: int, rng: random.Random
+) -> np.ndarray:
+    """Id-level forest fire; returns the burned ids sorted ascending."""
+    return _grown_ids(context, size, rng, BURN_PROBABILITY)
 
 
 def _uniform_ids(
@@ -205,10 +235,12 @@ def random_walk_set(
 ) -> set[Node]:
     """Sample ``size`` distinct vertices by random walk with restarts.
 
-    CSR-native equivalent of
-    :func:`repro.sampling.random_walk.random_walk_set` (same seed, same
-    sample).  Walks ignore edge direction; restarts draw a uniform vertex
-    whenever no uncollected neighbour remains.
+    Walks ignore edge direction (the paper samples the social graph as a
+    connectivity structure); restarts draw a uniform vertex whenever no
+    uncollected neighbour remains.  Raises
+    :class:`~repro.exceptions.SamplingError` when the graph has fewer
+    than ``size`` vertices or the step budget (``max_steps_factor *
+    size``) is exhausted.
     """
     context = AnalysisContext.ensure(context)
     ids = _random_walk_ids(
@@ -225,12 +257,27 @@ def bfs_ball_set(
 ) -> set[Node]:
     """Sample a BFS ball of ``size`` vertices around a random root.
 
-    CSR-native equivalent of
-    :func:`repro.sampling.random_sets.bfs_ball_set`; restarts from a fresh
-    random root whenever a component is exhausted.
+    Restarts from a fresh random root whenever a component is exhausted.
     """
     context = AnalysisContext.ensure(context)
     ids = _bfs_ball_ids(context, size, _resolve_rng(seed))
+    return _id_labels(context, ids)
+
+
+def forest_fire_set(
+    context: AnalysisContext,
+    size: int,
+    *,
+    seed: int | random.Random | None = None,
+) -> set[Node]:
+    """Sample ``size`` vertices by forest fire (Leskovec's burn).
+
+    Burns each fresh neighbour with probability :data:`BURN_PROBABILITY`,
+    spreading from burned vertices; reignites from a random vertex when
+    the fire dies before reaching ``size``.
+    """
+    context = AnalysisContext.ensure(context)
+    ids = _forest_fire_ids(context, size, _resolve_rng(seed))
     return _id_labels(context, ids)
 
 
@@ -240,20 +287,17 @@ def uniform_vertex_set(
     *,
     seed: int | random.Random | None = None,
 ) -> set[Node]:
-    """Sample ``size`` vertices uniformly without replacement.
-
-    CSR-native equivalent of
-    :func:`repro.sampling.random_sets.uniform_vertex_set`.
-    """
+    """Sample ``size`` vertices uniformly without replacement."""
     context = AnalysisContext.ensure(context)
     ids = _uniform_ids(context, size, _resolve_rng(seed))
     return _id_labels(context, ids)
 
 
-#: CSR-native sampler registry (name -> callable over a context).
+#: Sampler registry (name -> callable over a context).
 ENGINE_SAMPLERS = {
     "uniform": uniform_vertex_set,
     "bfs_ball": bfs_ball_set,
+    "forest_fire": forest_fire_set,
     "random_walk": random_walk_set,
 }
 
@@ -262,6 +306,7 @@ ENGINE_SAMPLERS = {
 SAMPLER_IDS = {
     "uniform": _uniform_ids,
     "bfs_ball": _bfs_ball_ids,
+    "forest_fire": _forest_fire_ids,
     "random_walk": _random_walk_ids,
 }
 
@@ -278,18 +323,15 @@ def sample_matched_sets(
 ) -> list[set[Node]]:
     """One vertex set per entry of ``sizes`` using a named sampler.
 
-    Drop-in replacement for
-    :func:`repro.sampling.random_sets.sample_matched_sets` that shares the
-    frozen context across all draws.  Replicate ``i`` owns child stream
-    ``i`` of ``seed``, so serial, parallel (``jobs``/``executor``) and
-    legacy label-level execution all emit identical sets.  Seeded draws
-    may be served from ``cache``; ``forest_fire`` (not yet CSR-native)
-    falls through to the legacy label-level implementation, serially.
+    ``sampler`` is a key of :data:`SAMPLER_IDS`; every draw shares the
+    one frozen context.  Replicate ``i`` owns child stream ``i`` of
+    ``seed``, so serial and parallel (``jobs``/``executor``) execution
+    emit identical sets.  Seeded draws may be served from ``cache``.
     """
     context = AnalysisContext.ensure(context)
     sizes = [int(size) for size in sizes]
-    if sampler not in ENGINE_SAMPLERS and sampler != "forest_fire":
-        known = ", ".join(sorted([*ENGINE_SAMPLERS, "forest_fire"]))
+    if sampler not in SAMPLER_IDS:
+        known = ", ".join(sorted(SAMPLER_IDS))
         raise KeyError(f"unknown sampler {sampler!r}; known: {known}")
     with obs.span("sampler.matched_sets"):
         sets = _matched_sets(
@@ -321,40 +363,20 @@ def _matched_sets(
 
     child_seeds = spawn_child_seeds(seed, len(sizes))
     own_executor = False
-    if executor is None and sampler in SAMPLER_IDS:
+    if executor is None:
         effective = resolve_jobs(jobs)
         if effective > 1:
             executor = ParallelExecutor(context, effective)
             own_executor = True
     try:
-        if (
-            executor is not None
-            and executor.active
-            and sampler in SAMPLER_IDS
-        ):
+        if executor is not None and executor.active:
             id_lists = executor.sample_ids(sampler, sizes, child_seeds)
-        elif sampler in SAMPLER_IDS:
+        else:
             function = SAMPLER_IDS[sampler]
             id_lists = [
                 function(context, size, random.Random(child))
                 for size, child in zip(sizes, child_seeds)
             ]
-        else:  # forest_fire: label-level legacy implementation.
-            from repro.sampling.random_sets import forest_fire_set
-
-            sets = [
-                forest_fire_set(context.graph, size, seed=child)
-                for size, child in zip(sizes, child_seeds)
-            ]
-            if key is not None and store is not None:
-                store.store_id_sets(
-                    key,
-                    [
-                        np.sort(context.vertex_ids(list(members)))
-                        for members in sets
-                    ],
-                )
-            return sets
     finally:
         if own_executor and executor is not None:
             executor.close()

@@ -74,14 +74,14 @@ DELTAS_APPLIED = REGISTRY.counter(
 
 KERNEL_SELECTED = REGISTRY.counter(
     "engine.kernel_selected",
-    "batch membership kernel chosen per batch_group_stats call "
+    "batch membership kernel chosen per batch_group_stats_columns call "
     "(label: pairs | gather)",
     unit="batches",
 )
 
 GROUPS_SCORED = REGISTRY.counter(
     "engine.groups_scored",
-    "vertex groups processed by batch_group_stats",
+    "vertex groups processed by batch_group_stats_columns",
     unit="groups",
 )
 

@@ -1,20 +1,9 @@
-"""Vertex-set samplers: the paper's random walk and ablation baselines."""
+"""Per-replicate seed derivation for the matched-set samplers.
 
-from repro.sampling.random_sets import (
-    SAMPLERS,
-    bfs_ball_set,
-    forest_fire_set,
-    sample_matched_sets,
-    uniform_vertex_set,
-)
-from repro.sampling.random_walk import matched_random_sets, random_walk_set
+The samplers themselves run on the frozen CSR substrate
+(:mod:`repro.engine.samplers`).
+"""
 
-__all__ = [
-    "random_walk_set",
-    "matched_random_sets",
-    "uniform_vertex_set",
-    "bfs_ball_set",
-    "forest_fire_set",
-    "SAMPLERS",
-    "sample_matched_sets",
-]
+from repro.sampling.seeds import spawn_child_seeds, spawn_generators
+
+__all__ = ["spawn_child_seeds", "spawn_generators"]

@@ -1,6 +1,6 @@
 """Community scoring functions (paper section V + Yang–Leskovec catalogue)."""
 
-from repro.scoring.base import GroupStats, ScoringFunction, compute_group_stats
+from repro.scoring.base import GroupStats, ScoringFunction
 from repro.scoring.columnar import (
     GroupStatsBatch,
     scalar_score_column,
@@ -43,7 +43,6 @@ __all__ = [
     "GroupStats",
     "GroupStatsBatch",
     "ScoringFunction",
-    "compute_group_stats",
     "scalar_score_column",
     "score_function_column",
     "score_matrix",

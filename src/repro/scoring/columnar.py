@@ -156,8 +156,9 @@ class GroupStatsBatch:
         """Reconstruct group ``i`` as a lazy :class:`GroupStats` view.
 
         The per-member arrays are slices of the batch's flat arrays (no
-        copy); the result is indistinguishable from the object the
-        legacy :func:`repro.engine.batch_group_stats` assembly builds.
+        copy).  This is the only source of a row :class:`GroupStats`:
+        the scalar ``__call__`` oracle and :func:`scalar_score_column`
+        both read groups through it.
         """
         lo = int(self.group_offsets[i])
         hi = int(self.group_offsets[i + 1])

@@ -132,8 +132,8 @@ class TriangleParticipationRatio:
         if rows is None:
             raise ValueError(
                 "TPR needs stats.member_internal_neighbors; compute the "
-                "stats with include_internal_adjacency=True (the default "
-                "of compute_group_stats, opt-in for the engine batch path)"
+                "stats with include_internal_adjacency=True (opt-in for "
+                "batch_group_stats_columns) or score through score_groups()"
             )
         # Position-indexed neighbour sets over the induced skeleton.
         inside = [set(row.tolist()) for row in rows]

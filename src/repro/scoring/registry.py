@@ -17,13 +17,13 @@ import numpy as np
 
 from repro import obs
 from repro.data.groups import GroupSet, VertexGroup
-from repro.engine import AnalysisContext, batch_group_stats
 from repro.engine.cache import ResultCache, function_tokens
+from repro.engine.context import AnalysisContext
 from repro.engine.parallel import ParallelExecutor, resolve_jobs
 from repro.obs import capture_manifest, instruments
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
-from repro.scoring.base import GroupStats, ScoringFunction, compute_group_stats
+from repro.scoring.base import ScoringFunction
 from repro.scoring.columnar import score_stats_columns
 from repro.scoring.combined import (
     AverageOutDegreeFraction,
@@ -175,29 +175,29 @@ def score_group(
     *,
     graph_median_degree: float | None = None,
 ) -> dict[str, float]:
-    """Score one vertex set under ``functions`` (one adjacency sweep).
+    """Score one vertex set under ``functions`` (a one-group batch).
 
-    Accepts a raw graph (legacy dict sweep) or a frozen
-    :class:`~repro.engine.AnalysisContext` (CSR batch kernel).
+    ``graph`` may be a raw graph (frozen here) or a frozen
+    :class:`~repro.engine.AnalysisContext`; both score the same way.
     """
-    if isinstance(graph, AnalysisContext):
-        if graph_median_degree is None and _needs(
-            functions, FractionOverMedianDegree
-        ):
-            graph_median_degree = graph.median_degree
-        stats = batch_group_stats(
-            graph,
-            [members],
-            graph_median_degree=graph_median_degree,
-            include_internal_adjacency=_needs(
-                functions, TriangleParticipationRatio
-            ),
-        )[0]
-    else:
-        stats = compute_group_stats(
-            graph, members, graph_median_degree=graph_median_degree
-        )
-    return {function.name: float(function(stats)) for function in functions}
+    context = AnalysisContext.ensure(graph)
+    if graph_median_degree is None and _needs(
+        functions, FractionOverMedianDegree
+    ):
+        graph_median_degree = context.median_degree
+    _, matrix = score_stats_columns(
+        context,
+        [members],
+        functions,
+        graph_median_degree=graph_median_degree,
+        include_internal_adjacency=_needs(
+            functions, TriangleParticipationRatio
+        ),
+    )
+    return {
+        function.name: float(matrix[0, j])
+        for j, function in enumerate(functions)
+    }
 
 
 def score_groups(

@@ -1,14 +1,16 @@
 """Engine batch stats vs the legacy per-group oracle.
 
-The engine's acceptance bar is *bit-identical* agreement with
-:func:`repro.scoring.base.compute_group_stats` — same counts, same
+The engine's acceptance bar is *bit-identical* agreement with the legacy
+dict sweep :func:`oracles.stats.compute_group_stats` — same counts, same
 arrays, same error types — on arbitrary graphs including the edge cases
-(singleton groups, the whole graph as one group, duplicate members).
+(singleton groups, the whole graph as one group, duplicate members), and
+on a synthetic Google+ corpus together with the paper's four scores.
 The gather kernel is also checked with its chunk cut to three entries,
 and its peak memory is checked to stay flat as the members' degrees
 grow.
 """
 
+import dataclasses
 import random
 import tracemalloc
 from contextlib import contextmanager
@@ -19,12 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.engine.batch as batch_module
-from repro.engine import (
-    AnalysisContext,
-    batch_group_stats,
-    batch_group_stats_columns,
-    group_stats,
-)
+from repro.engine import AnalysisContext, batch_group_stats_columns
 from repro.exceptions import EmptyGroupError, NodeNotFound
 from repro.graph.csr import (
     CSRGraph,
@@ -34,7 +31,11 @@ from repro.graph.csr import (
 )
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
-from repro.scoring.base import compute_group_stats
+from repro.scoring.columnar import score_matrix
+from repro.scoring.registry import make_paper_functions
+from repro.synth.paper_datasets import GOOGLE_PLUS_CONFIG, build_google_plus
+
+from oracles.stats import batch_group_stats, compute_group_stats, group_stats
 
 #: Gather chunk sizes the kernel is checked at: its default, and three
 #: entries, so rows span chunks and one row can exceed a chunk.
@@ -132,6 +133,36 @@ def test_engine_matches_legacy_oracle(directed, strategy, chunk, data):
     for members, got in zip(groups, batch):
         want = compute_group_stats(graph, members, graph_median_degree=median)
         assert_stats_identical(got, want)
+
+
+def test_google_plus_corpus_matches_legacy_oracle():
+    """Every circle of an 8-ego synthetic Google+ corpus: the production
+    pass's stats and paper-function scores equal the dict sweep's."""
+    config = dataclasses.replace(GOOGLE_PLUS_CONFIG, num_egos=8)
+    dataset = build_google_plus(config=config)
+    member_lists = [
+        list(group.members)
+        for group in dataset.groups.filter_by_size(minimum=2)
+    ]
+    assert len(member_lists) >= 20
+    batch = batch_group_stats_columns(
+        AnalysisContext(dataset.graph),
+        member_lists,
+        include_internal_adjacency=True,
+    )
+    want = [
+        compute_group_stats(dataset.graph, members)
+        for members in member_lists
+    ]
+    for got, oracle in zip(batch.rows(), want, strict=True):
+        assert_stats_identical(got, oracle)
+    functions = make_paper_functions()
+    scores = score_matrix(functions, batch)
+    for j, function in enumerate(functions):
+        oracle_scores = np.array(
+            [function(stats) for stats in want], dtype=np.float64
+        )
+        assert scores[:, j].tobytes() == oracle_scores.tobytes(), function.name
 
 
 class TestBatchSemantics:

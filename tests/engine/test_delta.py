@@ -3,8 +3,8 @@
 The oracle is the legacy path: mutate a copy of the dict graph and
 freeze it from scratch. A patched context must be indistinguishable
 from that — same fingerprint, degrees, median and edge count — and
-`rescore_groups` must return stats byte-identical to a full batch pass
-while invoking the kernel only for dirty groups.
+`rescore_groups_columns` must return stats byte-identical to a full
+batch pass while invoking the kernel only for dirty groups.
 """
 
 import random
@@ -19,10 +19,9 @@ from repro.data import Community, GroupSet, VertexGroup
 from repro.engine import (
     AnalysisContext,
     ContextDelta,
-    batch_group_stats,
     batch_group_stats_columns,
 )
-from repro.engine.delta import rescore_groups, rescore_groups_columns
+from repro.engine.delta import rescore_groups_columns
 from repro.scoring.columnar import GroupStatsBatch, score_matrix
 from repro.scoring.internal import TriangleParticipationRatio
 from repro.scoring.registry import make_all_functions
@@ -111,73 +110,74 @@ class TestRescoreGroups:
     ):
         context, groups = community_fixture
         delta = self.delta_for(context, groups)
-        median = context.median_degree
         member_lists = [list(group.members) for group in groups]
-        baseline = {
-            group.name: stats
-            for group, stats in zip(
-                groups,
-                batch_group_stats(
-                    context, member_lists, graph_median_degree=median
-                ),
-            )
-        }
+        baseline = batch_group_stats_columns(
+            context, member_lists, graph_median_degree=context.median_degree
+        )
 
         patched = delta.apply(context)
         dirty = delta.dirty_names(groups)
         assert dirty  # the removed edge touches at least one group
         assert len(dirty) < len(groups)  # and leaves others clean
 
-        obs.enable(name="delta-kernel")
-        try:
-            before = GROUPS_SCORED.value()
-            got = rescore_groups(
-                patched,
-                groups,
-                baseline,
-                dirty,
-                graph_median_degree=patched.median_degree,
-            )
-            scored = GROUPS_SCORED.value() - before
-        finally:
-            obs.disable()
-        assert scored == len(dirty)
-
-        want = batch_group_stats(
+        got = self.rescore_counting(
+            patched,
+            groups,
+            baseline,
+            [group.name for group in groups],
+            dirty,
+            expect_scored=len(dirty),
+        )
+        want = batch_group_stats_columns(
             patched, member_lists, graph_median_degree=patched.median_degree
         )
-        for group, oracle in zip(groups, want):
-            stats = got[group.name]
-            assert stats.members == oracle.members
-            assert stats.n == oracle.n
-            assert stats.m == oracle.m
-            assert stats.n_C == oracle.n_C
-            assert stats.m_C == oracle.m_C
-            assert stats.c_C == oracle.c_C
-            assert stats.directed == oracle.directed
-            assert stats.graph_median_degree == oracle.graph_median_degree
-            for attribute in (
-                "member_degrees",
-                "member_internal_degrees",
-                "member_in_degrees",
-                "member_out_degrees",
-            ):
-                assert np.array_equal(
-                    getattr(stats, attribute), getattr(oracle, attribute)
-                ), attribute
+        assert_batches_bitwise_identical(got, want)
 
     def test_missing_previous_entries_are_treated_as_dirty(
         self, community_fixture
     ):
         context, groups = community_fixture
-        got = rescore_groups(
+        member_lists = [list(group.members) for group in groups]
+        half = len(groups) // 2
+        previous = batch_group_stats_columns(
             context,
-            groups,
-            previous={},
-            dirty=frozenset(),
+            member_lists[:half],
             graph_median_degree=context.median_degree,
         )
-        assert set(got) == {group.name for group in groups}
+        got = self.rescore_counting(
+            context,
+            groups,
+            previous,
+            [group.name for group in groups[:half]],
+            frozenset(),
+            expect_scored=len(groups) - half,
+        )
+        want = batch_group_stats_columns(
+            context, member_lists, graph_median_degree=context.median_degree
+        )
+        assert_batches_bitwise_identical(got, want)
+
+    @staticmethod
+    def rescore_counting(
+        context, groups, previous, previous_names, dirty, *, expect_scored
+    ):
+        """Rescore, asserting how many groups reached the batch kernel."""
+        obs.enable(name="delta-kernel")
+        try:
+            before = GROUPS_SCORED.value()
+            got = rescore_groups_columns(
+                context,
+                groups,
+                previous,
+                previous_names,
+                dirty,
+                graph_median_degree=context.median_degree,
+            )
+            scored = GROUPS_SCORED.value() - before
+        finally:
+            obs.disable()
+        assert scored == expect_scored
+        return got
 
 
 def assert_batches_bitwise_identical(got, want):

@@ -20,6 +20,7 @@ from repro.engine import (
     AnalysisContext,
     ParallelExecutor,
     bfs_ball_set,
+    forest_fire_set,
     random_walk_set,
     sample_matched_sets,
     uniform_vertex_set,
@@ -28,8 +29,9 @@ from repro.exceptions import SamplingError
 from repro.graph.csr import IdentityNodes
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
-from repro.sampling import random_sets as legacy
-from repro.sampling.random_walk import random_walk_set as legacy_random_walk
+
+from oracles import random_sets as legacy
+from oracles.random_walk import random_walk_set as legacy_random_walk
 
 
 def scrambled_graph(directed, n=40, m=150, seed=13):
@@ -64,6 +66,14 @@ class TestLegacyReplay:
             assert bfs_ball_set(context, size, seed=seed) == legacy.bfs_ball_set(
                 graph, size, seed=seed
             )
+
+    def test_forest_fire(self, directed, seed):
+        graph = scrambled_graph(directed)
+        context = AnalysisContext(graph)
+        for size in (1, 6, 25):
+            assert forest_fire_set(
+                context, size, seed=seed
+            ) == legacy.forest_fire_set(graph, size, seed=seed)
 
     def test_uniform(self, directed, seed):
         graph = scrambled_graph(directed)
@@ -117,7 +127,12 @@ def test_opened_store_replays_legacy(tmp_path, directed, build, identity):
                 assert bfs_ball_set(
                     opened, size, seed=seed
                 ) == legacy.bfs_ball_set(graph, size, seed=seed)
-            for sampler in ("random_walk", "bfs_ball", "uniform"):
+            for sampler in (
+                "random_walk",
+                "bfs_ball",
+                "uniform",
+                "forest_fire",
+            ):
                 assert sample_matched_sets(
                     opened, sizes, sampler, seed=seed, executor=executor
                 ) == legacy.sample_matched_sets(
@@ -171,7 +186,12 @@ class TestSamplerContracts:
             sample_matched_sets(context, [2], "metropolis", seed=0)
 
     def test_registry_names(self):
-        assert set(ENGINE_SAMPLERS) == {"uniform", "bfs_ball", "random_walk"}
+        assert set(ENGINE_SAMPLERS) == {
+            "uniform",
+            "bfs_ball",
+            "forest_fire",
+            "random_walk",
+        }
 
     def test_restart_covers_disconnected_graph(self):
         graph = Graph([(1, 2), (3, 4), (5, 6)])

@@ -125,7 +125,9 @@ def test_parallel_scoring_matches_serial_bytes(directed, jobs):
     assert_tables_identical(serial, parallel)
 
 
-@pytest.mark.parametrize("sampler", ["random_walk", "bfs_ball", "uniform"])
+@pytest.mark.parametrize(
+    "sampler", ["random_walk", "bfs_ball", "uniform", "forest_fire"]
+)
 def test_parallel_sampling_replays_serial_seed_for_seed(sampler):
     context = AnalysisContext(scrambled_graph(directed=True))
     sizes = [3, 7, 1, 12, 5, 9, 4]
@@ -289,17 +291,6 @@ def test_inactive_executor_never_exports():
     executor = ParallelExecutor(context, jobs=1)
     assert not executor.active
     executor.close()
-
-
-def test_forest_fire_falls_back_to_serial():
-    # forest_fire has no id-level kernel; jobs must not change its draws.
-    context = AnalysisContext(scrambled_graph(directed=True))
-    sizes = [4, 8, 3]
-    serial = sample_matched_sets(context, sizes, "forest_fire", seed=7)
-    parallel = sample_matched_sets(
-        context, sizes, "forest_fire", seed=7, jobs=4
-    )
-    assert serial == parallel
 
 
 def test_sampled_modularity_scores_serially_but_identically():

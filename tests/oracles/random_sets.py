@@ -8,6 +8,11 @@ The paper uses random walks for its Fig. 5 baseline; these samplers answer
   locally clustered;
 * :func:`forest_fire_set` — probabilistic burn (Leskovec's forest fire),
   between the two extremes.
+
+These are the label-level reference implementations over a mutable
+graph.  Production samples on the frozen CSR through
+:mod:`repro.engine.samplers`, whose kernels must replay these draws
+seed for seed.
 """
 
 from __future__ import annotations
@@ -160,7 +165,7 @@ def sample_matched_sets(
     engine's serial and parallel matched-set draws seed-for-seed.
     """
     if sampler == "random_walk":
-        from repro.sampling.random_walk import matched_random_sets
+        from oracles.random_walk import matched_random_sets
 
         return matched_random_sets(graph, sizes, seed=seed)
     try:

@@ -6,6 +6,11 @@ walk: start at a random vertex, repeatedly move to a uniformly random
 neighbour, collecting distinct vertices; restart from a fresh random vertex
 whenever no new neighbour is available.  Random walks give an unbiased,
 widely connected selection of the sub-graph (Lu et al., WWW'14).
+
+This is the label-level reference implementation over a mutable graph.
+Production walks the frozen CSR through
+:func:`repro.engine.samplers.random_walk_set`, which must replay these
+draws seed for seed.
 """
 
 from __future__ import annotations

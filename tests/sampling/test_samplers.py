@@ -7,14 +7,15 @@ import pytest
 from repro.exceptions import SamplingError
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
-from repro.sampling.random_sets import (
+
+from oracles.random_sets import (
     SAMPLERS,
     bfs_ball_set,
     forest_fire_set,
     sample_matched_sets,
     uniform_vertex_set,
 )
-from repro.sampling.random_walk import matched_random_sets, random_walk_set
+from oracles.random_walk import matched_random_sets, random_walk_set
 
 
 def _grid_graph(side: int = 8) -> Graph:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from repro.exceptions import EmptyGroupError, NodeNotFound
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
-from repro.scoring.base import compute_group_stats
+
+from oracles.stats import compute_group_stats
 
 
 class TestUndirectedStats:

@@ -7,7 +7,6 @@ import pytest
 
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
-from repro.scoring.base import compute_group_stats
 from repro.scoring.combined import (
     AverageOutDegreeFraction,
     Conductance,
@@ -24,6 +23,8 @@ from repro.scoring.internal import (
     InternalDensity,
     TriangleParticipationRatio,
 )
+
+from oracles.stats import compute_group_stats
 
 
 def stats_for(graph, members, **kwargs):

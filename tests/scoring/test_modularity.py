@@ -7,12 +7,13 @@ import pytest
 
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
-from repro.scoring.base import compute_group_stats
 from repro.scoring.modularity import (
     Modularity,
     NullModelEnsemble,
     analytic_expected_internal_edges,
 )
+
+from oracles.stats import compute_group_stats
 
 
 class TestAnalyticExpectation:

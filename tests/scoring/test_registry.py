@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.groups import Community, GroupSet, VertexGroup
+from repro.engine import AnalysisContext
+from repro.graph.digraph import DiGraph
 from repro.scoring.registry import (
     PAPER_FUNCTION_NAMES,
     finite_median,
@@ -45,6 +47,24 @@ class TestScoreGroup:
         assert set(scores) == set(PAPER_FUNCTION_NAMES)
         assert scores["average_degree"] == pytest.approx(3.0)
         assert scores["conductance"] == pytest.approx(1 / 13)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_graph_and_its_context_score_alike(
+        self, two_cliques_graph, directed
+    ):
+        graph = two_cliques_graph
+        if directed:  # one arc per edge, so the orientation matters
+            graph = DiGraph(list(two_cliques_graph.edges))
+        functions = make_all_functions()
+        members = [0, 1, 2, 4]
+        from_graph = score_group(graph, members, functions)
+        from_context = score_group(AnalysisContext(graph), members, functions)
+        assert list(from_graph) == [function.name for function in functions]
+        assert list(from_context) == list(from_graph)
+        assert (
+            np.array(list(from_graph.values())).tobytes()
+            == np.array(list(from_context.values())).tobytes()
+        )
 
 
 class TestScoreGroups:

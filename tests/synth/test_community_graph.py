@@ -5,12 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.scoring import Conductance, compute_group_stats
+from repro.scoring import Conductance
 from repro.synth.community_graph import (
     CommunityGraphConfig,
     generate_community_graph,
 )
 from tests.conftest import SMALL_COMMUNITY_CONFIG
+
+from oracles.stats import compute_group_stats
 
 
 class TestConfigValidation:

@@ -19,9 +19,10 @@ from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
 from repro.nullmodel.viger_latapy import viger_latapy_graph
 from repro.powerlaw.fitting import fit_tail, scan_xmin
-from repro.sampling.random_walk import random_walk_set
-from repro.scoring.base import compute_group_stats
 from repro.scoring.registry import score_groups
+
+from oracles.random_walk import random_walk_set
+from oracles.stats import compute_group_stats
 
 
 class TestDegenerateGraphs:

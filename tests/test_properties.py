@@ -17,10 +17,11 @@ from repro.graph.ugraph import Graph
 from repro.nullmodel.configuration import configuration_model
 from repro.nullmodel.degree_sequence import is_graphical
 from repro.nullmodel.rewiring import double_edge_swap
-from repro.sampling.random_sets import bfs_ball_set, forest_fire_set, uniform_vertex_set
-from repro.sampling.random_walk import random_walk_set
-from repro.scoring.base import compute_group_stats
 from repro.scoring.registry import make_all_functions
+
+from oracles.random_sets import bfs_ball_set, forest_fire_set, uniform_vertex_set
+from oracles.random_walk import random_walk_set
+from oracles.stats import compute_group_stats
 
 
 @st.composite
