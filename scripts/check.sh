@@ -29,6 +29,9 @@ python -m repro.devtools.lint src --format sarif --output lint.sarif --jobs 2
 echo "== determinism check (fast pipelines, PYTHONHASHSEED=5 vs 47) =="
 # One run cannot see a set iterated before an RNG draw; the same draws
 # under two hash seeds can, so both runs must print the same fingerprints.
+# The diff covers scoring too: scoring.avg_odf scores frozensets of string
+# labels, whose iteration order follows the hash seed, with a function
+# whose float mean would follow member order.
 for hash_seed in 5 47; do
     PYTHONHASHSEED=$hash_seed python -m repro.devtools.determinism --fast \
         | tee "$BENCH_OUT/determinism-$hash_seed.txt"

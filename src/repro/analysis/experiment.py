@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.analysis.cdf import EmpiricalCDF
 from repro.data.datasets import Dataset
-from repro.data.groups import GroupSet, VertexGroup
+from repro.data.groups import GroupSet
 from repro.engine import (
     AnalysisContext,
+    GroupIds,
     ParallelExecutor,
     ResultCache,
     resolve_jobs,
-    sample_matched_sets,
+    sample_matched_ids,
 )
 from repro.obs import capture_manifest, instruments
 from repro.graph.digraph import DiGraph
@@ -115,16 +116,16 @@ def circles_vs_random(
     context = AnalysisContext.ensure(context if context is not None else graph)
 
     with obs.span("experiment.circles_vs_random"):
+        # Circles become ids once: restricted to the graph, then filtered
+        # on their canonical sizes.
         group_list = list(groups)
-        restricted = context.restrict(
-            [list(group.members) for group in group_list]
+        circles = GroupIds.from_labels(
+            context,
+            [group.members for group in group_list],
+            names=[group.name for group in group_list],
+            restrict=True,
         )
-        usable = [
-            group
-            for group, members in zip(group_list, restricted)
-            if len(members) >= min_group_size
-        ]
-        usable_set = GroupSet(groups=usable, name=dataset_name)
+        circles = circles.select(circles.sizes >= min_group_size)
 
         # One executor spans all three phases, so pool startup and the
         # shared-memory CSR export are paid once per run, not per batch.
@@ -136,27 +137,25 @@ def circles_vs_random(
         )
         try:
             circle_scores = score_groups(
-                context, usable_set, functions, cache=cache, executor=executor
+                context, circles, functions, cache=cache, executor=executor
             )
-            sizes = circle_scores.group_sizes
-            random_sets = sample_matched_sets(
-                context, sizes, sampler, seed=seed, cache=cache,
-                executor=executor,
-            )
-            random_groups = GroupSet(
-                groups=[
-                    VertexGroup(name=f"random-{i}", members=frozenset(members))
-                    for i, members in enumerate(random_sets)
-                ],
-                name=f"{dataset_name}-random",
-            )
-            random_scores = score_groups(
+            random_ids = sample_matched_ids(
                 context,
-                random_groups,
-                functions,
-                restrict_to_graph=False,
+                circle_scores.group_sizes,
+                sampler,
+                seed=seed,
                 cache=cache,
                 executor=executor,
+            )
+            # The sampler's arrays are already canonical: scored as they
+            # come, with no label sets in between.
+            randoms = GroupIds.from_arrays(
+                random_ids,
+                n=context.num_vertices,
+                names=[f"random-{i}" for i in range(len(random_ids))],
+            )
+            random_scores = score_groups(
+                context, randoms, functions, cache=cache, executor=executor
             )
         finally:
             if executor is not None:

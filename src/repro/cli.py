@@ -48,9 +48,9 @@ from repro.analysis.overlap import analyze_overlap
 from repro.analysis.report import render_cdf_panel, render_kv, render_table
 from repro.analysis.robustness import directed_vs_undirected
 from repro.data.datasets import Dataset
-from repro.data.groups import load_groups, save_groups
-from repro.engine import AnalysisContext
-from repro.exceptions import GraphError
+from repro.data.groups import load_group_labels, load_groups, save_groups
+from repro.engine import AnalysisContext, GroupIds
+from repro.exceptions import FormatError, GraphError
 from repro.obs import write_manifests
 from repro.synth.paper_datasets import (
     build_google_plus,
@@ -170,8 +170,8 @@ def _mmap_dir(args: argparse.Namespace) -> str | None:
     return os.environ.get("REPRO_MMAP_DIR", "").strip() or None
 
 
-def _open_store(directory: str) -> "tuple[AnalysisContext, object]":
-    """Attach an on-disk CSR store plus its ``groups.json`` sidecar."""
+def _open_context(directory: str) -> "tuple[AnalysisContext, Path]":
+    """Attach an on-disk CSR store; return it and its sidecar's path."""
     try:
         context = AnalysisContext.open(directory)
     except GraphError as exc:
@@ -181,7 +181,16 @@ def _open_store(directory: str) -> "tuple[AnalysisContext, object]":
         raise SystemExit(
             f"{directory} has no groups.json sidecar; re-run 'repro freeze'"
         )
-    return context, load_groups(groups_path)
+    return context, groups_path
+
+
+def _open_store(directory: str) -> "tuple[AnalysisContext, object]":
+    """Attach an on-disk CSR store plus its ``groups.json`` sidecar."""
+    context, groups_path = _open_context(directory)
+    try:
+        return context, load_groups(groups_path)
+    except FormatError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
@@ -219,13 +228,22 @@ def _score_store(args: argparse.Namespace, mmap_dir: str) -> int:
     """Score a frozen on-disk store's groups without rebuilding anything.
 
     The out-of-core path of ``repro score``: the CSR arrays stay
-    memmapped (O(1) resident set for the substrate), the stored groups
-    are scored through the normal batch/parallel/cache machinery, and
-    the output is byte-identical to scoring the same graph in RAM.
+    memmapped (O(1) resident set for the substrate), the sidecar is read
+    as one flat label list and mapped to canonical id groups in one
+    pass (no group objects), the groups are scored through the normal
+    batch/parallel/cache machinery, and the output is byte-identical to
+    scoring the same graph in RAM.
     """
     from repro.scoring.registry import score_groups
 
-    context, groups = _open_store(mmap_dir)
+    context, groups_path = _open_context(mmap_dir)
+    try:
+        names, lengths, labels = load_group_labels(groups_path)
+    except FormatError as exc:
+        raise SystemExit(str(exc)) from None
+    groups = GroupIds.from_flat_labels(
+        context, labels, lengths, names=names, restrict=True
+    )
     table = score_groups(
         context, groups, jobs=args.jobs, cache=_cache_arg(args)
     )
@@ -399,8 +417,9 @@ def _cmd_delta(args: argparse.Namespace) -> int:
     context, groups = _open_store(mmap_dir)
     removals = _sample_store_edges(context, args.drop_edges, args.seed or 0)
     delta = ContextDelta(remove_edges=tuple(removals))
-    member_lists = [list(group.members) for group in groups]
-    baseline = batch_group_stats_columns(context, member_lists)
+    baseline = batch_group_stats_columns(
+        context, [group.members for group in groups]
+    )
     baseline_names = [group.name for group in groups]
     patched = delta.apply(context)
     dirty = delta.dirty_names(groups)

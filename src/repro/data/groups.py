@@ -19,8 +19,10 @@ import json
 import os
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
+from repro import obs
 from repro.exceptions import EmptyGroupError, FormatError
 
 Node = Hashable
@@ -32,6 +34,7 @@ __all__ = [
     "GroupSet",
     "save_groups",
     "load_groups",
+    "load_group_labels",
 ]
 
 
@@ -191,6 +194,9 @@ def _group_fields(group: VertexGroup) -> dict:
 
 _GROUP_KINDS = {"group": VertexGroup, "circle": Circle, "community": Community}
 
+#: Member label types a sidecar may hold (JSON ints and strings).
+_MEMBER_TYPES = frozenset({int, str})
+
 #: Format marker of the sidecar written next to on-disk CSR stores so
 #: ``repro score --mmap-dir`` can rescore stored groups without the
 #: generator that produced them.
@@ -235,23 +241,78 @@ def save_groups(groups: GroupSet, path: str | Path) -> Path:
     return path
 
 
-def load_groups(path: str | Path) -> GroupSet:
-    """Load a :class:`GroupSet` written by :func:`save_groups`."""
+def _read_sidecar(path: str | Path) -> tuple[str, list[dict]]:
+    """Parse and check a :func:`save_groups` sidecar: ``(name, records)``.
+
+    Each record is checked the way :func:`save_groups` writes it, with
+    one type-set pass over its members: ``name`` is a unique, non-empty
+    str and ``members`` a non-empty list of int or str (no bool).  Any
+    damage raises :class:`~repro.exceptions.FormatError` naming the file
+    and the group.
+    """
     path = Path(path)
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") != GROUPS_FORMAT:
+    with obs.span("groups.load"):
+        try:
+            with open(path, encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise FormatError(f"{path}: not valid JSON ({exc})") from None
+        return _check_sidecar(path, payload)
+
+
+def _check_sidecar(path: Path, payload: object) -> tuple[str, list[dict]]:
+    """Check a parsed sidecar payload; return ``(name, records)``."""
+    if not isinstance(payload, dict) or payload.get("format") != GROUPS_FORMAT:
         raise FormatError(f"{path}: not a {GROUPS_FORMAT} file")
-    if int(payload.get("version", 0)) > GROUPS_VERSION:
+    version = payload.get("version", 0)
+    if type(version) is not int:
+        raise FormatError(f"{path}: malformed version {version!r}")
+    if version > GROUPS_VERSION:
         raise FormatError(
-            f"{path}: version {payload['version']} is newer than "
+            f"{path}: version {version} is newer than "
             f"supported ({GROUPS_VERSION})"
         )
-    groups = GroupSet(name=str(payload.get("name", "")))
-    for record in payload["groups"]:
-        kind = _GROUP_KINDS.get(record.get("kind", "group"))
-        if kind is None:
-            raise FormatError(f"{path}: unknown group kind {record['kind']!r}")
+    records = payload.get("groups")
+    if not isinstance(records, list):
+        raise FormatError(f"{path}: 'groups' is not a list")
+    seen: set[str] = set()
+    for i, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise FormatError(f"{path}: group #{i} is not an object")
+        name = record.get("name")
+        if type(name) is not str or not name:
+            raise FormatError(f"{path}: group #{i} has no valid name")
+        if name in seen:
+            raise FormatError(f"{path}: duplicate group name {name!r}")
+        seen.add(name)
+        members = record.get("members")
+        if type(members) is not list or not members:
+            raise FormatError(
+                f"{path}: group {name!r} needs a non-empty members list"
+            )
+        if not set(map(type, members)) <= _MEMBER_TYPES:
+            bad = next(m for m in members if type(m) not in _MEMBER_TYPES)
+            raise FormatError(
+                f"{path}: group {name!r} has member {bad!r} "
+                f"({type(bad).__name__}); members are int or str"
+            )
+        kind = record.get("kind", "group")
+        if type(kind) is not str or kind not in _GROUP_KINDS:
+            raise FormatError(
+                f"{path}: group {name!r} has unknown kind {kind!r}"
+            )
+    return str(payload.get("name", "")), records
+
+
+def load_groups(path: str | Path) -> GroupSet:
+    """Load a :class:`GroupSet` written by :func:`save_groups`.
+
+    A damaged file raises :class:`~repro.exceptions.FormatError`.
+    """
+    name, records = _read_sidecar(path)
+    groups = GroupSet(name=name)
+    for record in records:
+        kind = _GROUP_KINDS[record.get("kind", "group")]
         fields: dict = {
             "name": record["name"],
             "members": frozenset(record["members"]),
@@ -260,3 +321,20 @@ def load_groups(path: str | Path) -> GroupSet:
             fields["owner"] = record.get("owner")
         groups.add(kind(**fields))
     return groups
+
+
+def load_group_labels(
+    path: str | Path,
+) -> tuple[list[str], list[int], list[Node]]:
+    """Read a sidecar as ``(names, lengths, labels)`` without group objects.
+
+    ``labels`` concatenates every group's members as stored (repeats
+    kept); ``lengths[i]`` is how many of them group ``i`` owns.  Checked
+    exactly like :func:`load_groups`; the input of
+    :meth:`repro.engine.GroupIds.from_flat_labels`.
+    """
+    _, records = _read_sidecar(path)
+    names = [record["name"] for record in records]
+    lengths = [len(record["members"]) for record in records]
+    labels = list(chain.from_iterable(record["members"] for record in records))
+    return names, lengths, labels

@@ -274,6 +274,31 @@ def _pipeline_engine_uniform(seed: int) -> object:
     return sample_matched_sets(context, [6, 9, 20], "uniform", seed=seed)
 
 
+@register_pipeline("scoring.avg_odf")
+def _pipeline_scoring_avg_odf(seed: int) -> object:
+    # Frozensets of string labels iterate in PYTHONHASHSEED order, and
+    # Average-ODF's float mean reads member order: scores must not.
+    import random
+
+    from repro.data.groups import GroupSet, VertexGroup
+    from repro.scoring.registry import make_function, score_groups
+
+    graph = _base_graph()
+    labels = sorted(graph)
+    rng = random.Random(seed)
+    groups = GroupSet(
+        groups=[
+            VertexGroup(
+                name=f"g{i}",
+                members=frozenset(rng.sample(labels, rng.randint(10, 40))),
+            )
+            for i in range(30)
+        ]
+    )
+    functions = [make_function("avg_odf"), make_function("conductance")]
+    return score_groups(graph, groups, functions, cache=False).columns
+
+
 @register_pipeline("nullmodel.double_edge_swap")
 def _pipeline_double_edge_swap(seed: int) -> object:
     from repro.nullmodel.rewiring import double_edge_swap

@@ -50,6 +50,7 @@ _PIPELINE_FUNCS = frozenset(
         "bfs_ball_set",
         "uniform_vertex_set",
         "forest_fire_set",
+        "sample_matched_ids",
         "sample_matched_sets",
         "louvain_communities",
         "label_propagation_communities",

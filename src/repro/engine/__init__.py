@@ -19,12 +19,14 @@ from repro.engine.batch import batch_group_stats_columns
 from repro.engine.cache import ResultCache, function_tokens, query_key
 from repro.engine.context import AnalysisContext, CSRBuffers
 from repro.engine.delta import ContextDelta, rescore_groups_columns
+from repro.engine.ids import GroupIds
 from repro.engine.parallel import ParallelExecutor, resolve_jobs
 from repro.engine.samplers import (
     ENGINE_SAMPLERS,
     bfs_ball_set,
     forest_fire_set,
     random_walk_set,
+    sample_matched_ids,
     sample_matched_sets,
     uniform_vertex_set,
 )
@@ -33,6 +35,7 @@ __all__ = [
     "AnalysisContext",
     "CSRBuffers",
     "ContextDelta",
+    "GroupIds",
     "rescore_groups_columns",
     "ParallelExecutor",
     "ResultCache",
@@ -44,6 +47,7 @@ __all__ = [
     "forest_fire_set",
     "uniform_vertex_set",
     "ENGINE_SAMPLERS",
+    "sample_matched_ids",
     "sample_matched_sets",
     "resolve_jobs",
 ]

@@ -47,9 +47,9 @@ import numpy as np
 
 from repro import obs
 from repro.engine.context import AnalysisContext
-from repro.exceptions import EmptyGroupError
+from repro.engine.ids import GroupIds
 from repro.obs import instruments
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, IdentityNodes
 from repro.scoring.columnar import GroupStatsBatch
 
 Node = Hashable
@@ -345,9 +345,21 @@ class _MemberTable:
         return np.add.reduceat(per_member, self.group_offsets[:-1])
 
 
+def _member_labels(
+    context: AnalysisContext, groups: GroupIds
+) -> tuple[tuple[Node, ...], ...]:
+    """Each group's member labels, in canonical (ascending id) order."""
+    flat = groups.ids.tolist()
+    nodes = context.csr.nodes
+    if not isinstance(nodes, IdentityNodes):
+        flat = list(map(nodes.__getitem__, flat))
+    bounds = groups.offsets.tolist()
+    return tuple(tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+
 def _batch_member_columns(
     context: AnalysisContext,
-    groups: Iterable[Iterable[Node]],
+    groups: GroupIds,
     *,
     graph_median_degree: float | None,
     include_internal_adjacency: bool,
@@ -355,18 +367,7 @@ def _batch_member_columns(
 ) -> GroupStatsBatch:
     """Run one membership pass and pack its column arrays into a batch."""
     n = context.num_vertices
-
-    member_tuples: list[tuple[Node, ...]] = []
-    sizes_list: list[int] = []
-    labels_flat: list[Node] = []
-    for members in groups:
-        member_tuple = tuple(dict.fromkeys(members))
-        if not member_tuple:
-            raise EmptyGroupError("cannot score an empty vertex group")
-        member_tuples.append(member_tuple)
-        sizes_list.append(len(member_tuple))
-        labels_flat.extend(member_tuple)
-    if not member_tuples:
+    if not len(groups):
         return GroupStatsBatch.empty(
             n=n,
             m=context.num_edges,
@@ -375,13 +376,7 @@ def _batch_member_columns(
             with_neighbors=include_internal_adjacency,
         )
 
-    # Map every label of the batch in one pass; the first unknown label
-    # raises NodeNotFound.
-    table = _MemberTable(
-        n,
-        context.vertex_ids(labels_flat),
-        np.asarray(sizes_list, dtype=np.int64),
-    )
+    table = _MemberTable(n, groups.ids, groups.sizes)
     if strategy == "auto":
         pair_entries = int((table.sizes * table.sizes).sum())
         gather_entries = int(context.degree_array[table.ids].sum())
@@ -389,9 +384,9 @@ def _batch_member_columns(
     use_pairs = strategy == "pairs"
     if obs.enabled():
         instruments.KERNEL_SELECTED.inc(label=strategy)
-        instruments.GROUPS_SCORED.inc(len(member_tuples))
-        instruments.GROUP_SIZE.observe_many(sizes_list)
-        obs.add("groups", len(member_tuples))
+        instruments.GROUPS_SCORED.inc(len(groups))
+        instruments.GROUP_SIZE.observe_many(table.sizes.tolist())
+        obs.add("groups", len(groups))
         obs.add(f"kernel_{strategy}", 1)
     keep = include_internal_adjacency
     directed = context.is_directed
@@ -448,7 +443,7 @@ def _batch_member_columns(
         m=context.num_edges,
         directed=directed,
         graph_median_degree=graph_median_degree,
-        members=tuple(member_tuples),
+        members=_member_labels(context, groups),
         n_C=table.sizes,
         m_C=m_C_group,
         c_C=boundary_group,
@@ -463,7 +458,7 @@ def _batch_member_columns(
 
 def batch_group_stats_columns(
     context: AnalysisContext,
-    groups: Iterable[Iterable[Node]],
+    groups: GroupIds | Iterable[Iterable[Node]],
     *,
     graph_median_degree: float | None = None,
     include_internal_adjacency: bool = False,
@@ -471,9 +466,11 @@ def batch_group_stats_columns(
 ) -> GroupStatsBatch:
     """Compute a columnar :class:`GroupStatsBatch` for ``groups``.
 
-    Each group's members are deduplicated in first-seen order; an empty
-    group raises :class:`~repro.exceptions.EmptyGroupError` and an
-    unknown label :class:`~repro.exceptions.NodeNotFound`.  Directed
+    ``groups`` is a canonical :class:`~repro.engine.ids.GroupIds` or
+    label lists, which are mapped to one once here: members are
+    deduplicated and ordered by ascending vertex id, an empty group
+    raises :class:`~repro.exceptions.EmptyGroupError` and otherwise the
+    first unknown label :class:`~repro.exceptions.NodeNotFound`.  Directed
     conventions match the paper: ``m_C`` counts each internal arc once,
     ``c_C`` counts boundary arcs of either direction, ``d(v) = d_in +
     d_out``.  The whole batch shares one frozen context and one
@@ -487,8 +484,11 @@ def batch_group_stats_columns(
     two kernels' predicted entry counts for the batch.
     """
     with obs.span("engine.score_batch"):
+        context = AnalysisContext.ensure(context)
+        if not isinstance(groups, GroupIds):
+            groups = GroupIds.from_labels(context, groups)
         return _batch_member_columns(
-            AnalysisContext.ensure(context),
+            context,
             groups,
             graph_median_degree=graph_median_degree,
             include_internal_adjacency=include_internal_adjacency,

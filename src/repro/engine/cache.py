@@ -48,11 +48,13 @@ Node = Hashable
 
 __all__ = ["ResultCache", "function_tokens", "query_key"]
 
-#: Bump when the payload layout or key schema changes: old entries then
-#: miss instead of deserializing wrongly.  v2: context fingerprints went
-#: chunk-wise and identity-aware (repro.obs.manifest.fingerprint_context),
-#: so keys minted before the out-of-core substrate must not collide.
-_SCHEMA = "v2"
+#: Bump when the payload layout, the key schema or the bytes a key names
+#: change: old entries then miss instead of being served.  v2: context
+#: fingerprints went chunk-wise and identity-aware
+#: (repro.obs.manifest.fingerprint_context), so keys minted before the
+#: out-of-core substrate must not collide.  v3: members are scored in
+#: ascending vertex-id order, which changes Average-ODF bytes.
+_SCHEMA = "v3"
 
 _SCALARS = (type(None), bool, int, float, str)
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -314,56 +313,39 @@ class AnalysisContext:
     def vertex_ids(self, labels: Iterable[Node]) -> np.ndarray:
         """Map labels to integer vertex ids; the first unknown label
         raises :class:`~repro.exceptions.NodeNotFound`."""
-        index_of = self.csr.index_of
         labels = list(labels)
-        resolved = (
-            index_of.resolve(labels)
-            if isinstance(index_of, IdentityIndex)
-            else None
-        )
-        if resolved is not None:
-            ids, known = resolved
-            if not known.all():
-                raise NodeNotFound(labels[int(np.argmin(known))])
-            return ids
-        try:
-            ids = [index_of[label] for label in labels]
-        except KeyError:
-            for label in labels:
-                if label not in index_of:
-                    raise NodeNotFound(label) from None
-            raise  # pragma: no cover - unreachable
-        return np.asarray(ids, dtype=np.int64)
+        ids, known = self.lookup(labels)
+        if not known.all():
+            raise NodeNotFound(labels[int(np.argmin(known))])
+        return ids
 
-    def restrict(self, member_lists: Sequence[list[Node]]) -> list[list[Node]]:
-        """Drop the labels absent from this context from every list.
+    def lookup(self, labels: Sequence[Node]) -> tuple[np.ndarray, np.ndarray]:
+        """Look every label up at once: ``(ids, known)``.
 
-        Each list keeps its order; a list left empty stays in place, so
-        the caller decides what an emptied group means.  The result may
-        share lists with ``member_lists``.
+        ``known[i]`` is ``labels[i] in self`` and ``ids[i]`` its vertex
+        id wherever ``known[i]`` (``-1`` elsewhere).  Integer labels of
+        an identity-labelled context take one numpy pass.
         """
         index_of = self.csr.index_of
-        resolved = (
-            index_of.resolve(list(chain.from_iterable(member_lists)))
-            if isinstance(index_of, IdentityIndex)
-            else None
-        )
-        if resolved is None:
-            return [
-                [label for label in members if label in index_of]
-                for members in member_lists
-            ]
-        known = resolved[1]
-        if known.all():
-            return list(member_lists)
-        keep = known.tolist()
-        restricted: list[list[Node]] = []
-        start = 0
-        for members in member_lists:
-            stop = start + len(members)
-            restricted.append(list(compress(members, keep[start:stop])))
-            start = stop
-        return restricted
+        count = len(labels)
+        if isinstance(index_of, IdentityIndex):
+            resolved = index_of.resolve(labels)
+            if resolved is not None:
+                return resolved
+            contains = index_of.__contains__
+            ids = np.fromiter(
+                (int(label) if contains(label) else -1 for label in labels),
+                dtype=np.int64,
+                count=count,
+            )
+        else:
+            get = index_of.get
+            ids = np.fromiter(
+                (get(label, -1) for label in labels),
+                dtype=np.int64,
+                count=count,
+            )
+        return ids, ids >= 0
 
     def labels(self, vertex_ids: Sequence[int] | np.ndarray) -> list[Node]:
         """Map integer vertex ids back to node labels."""

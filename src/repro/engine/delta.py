@@ -451,7 +451,7 @@ def rescore_groups_columns(
     ]
     fresh = batch_group_stats_columns(
         context,
-        [list(group.members) for group in to_compute],
+        [group.members for group in to_compute],
         graph_median_degree=graph_median_degree,
         include_internal_adjacency=include_internal_adjacency,
     )

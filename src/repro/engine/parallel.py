@@ -13,9 +13,10 @@ immutable by contract — so parallelism here is a pure fan-out:
   context over integer vertex ids
   (:meth:`~repro.engine.context.AnalysisContext.from_parts`) — node
   labels never cross the process boundary;
-* group batches are sharded deterministically (contiguous ranges in
-  canonical group order) and results merge back in shard order, so
-  parallel output is **byte-identical** to serial;
+* group batches are canonical :class:`~repro.engine.ids.GroupIds`,
+  sharded deterministically (contiguous ranges in group order, each one
+  flat ids slice with rebased offsets) and results merge back in shard
+  order, so parallel output is **byte-identical** to serial;
 * sampling tasks receive per-replicate child seeds derived with
   :func:`repro.sampling.seeds.spawn_child_seeds` — replicate ``i`` sees
   the same stream whichever process runs it (live RNG objects must not
@@ -42,6 +43,7 @@ import numpy as np
 from multiprocessing import shared_memory
 
 from repro.engine.context import AnalysisContext
+from repro.engine.ids import GroupIds
 from repro.exceptions import ParallelError
 from repro.graph.csr import CSRGraph, IdentityIndex, IdentityNodes
 from repro.obs import instruments
@@ -303,22 +305,24 @@ def _worker_context() -> AnalysisContext:
 
 
 def _score_shard(
-    id_lists: list[np.ndarray],
+    groups: GroupIds,
     functions: Sequence[ScoringFunction],
     graph_median_degree: float | None,
     include_internal_adjacency: bool,
 ) -> tuple[list[int], np.ndarray]:
-    """Score one shard of groups (given as vertex-id arrays) in a worker.
+    """Score one shard of canonical id groups in a worker.
 
-    Returns the shard's deduplicated sizes and its packed ``(G, F)``
-    score-matrix block — a few contiguous float64 arrays on the IPC
-    channel instead of pickled per-group ``GroupStats`` objects.
+    The shard is one ids slice plus its rebased offsets, already
+    canonical, so it goes straight to the stats pass.  Returns the
+    shard's sizes and its packed ``(G, F)`` score-matrix block — a few
+    contiguous float64 arrays on the IPC channel instead of pickled
+    per-group ``GroupStats`` objects.
     """
     from repro.scoring.columnar import score_stats_columns
 
     return score_stats_columns(
         _worker_context(),
-        id_lists,
+        groups,
         functions,
         graph_median_degree=graph_median_degree,
         include_internal_adjacency=include_internal_adjacency,
@@ -415,20 +419,21 @@ class ParallelExecutor:
 
     def score_groups(
         self,
-        id_lists: list[np.ndarray],
+        groups: GroupIds,
         functions: Sequence[ScoringFunction],
         *,
         graph_median_degree: float | None,
         include_internal_adjacency: bool,
     ) -> tuple[list[int], np.ndarray]:
-        """Score groups (vertex-id arrays) across the pool.
+        """Score canonical id groups across the pool.
 
-        Returns per-group deduplicated sizes and the ``(G, F)`` score
-        matrix in the input order — shards are contiguous and their
-        matrix blocks concatenate back in shard order, so the result is
-        byte-identical to one serial columnar pass.
+        Returns per-group sizes and the ``(G, F)`` score matrix in the
+        input order — each shard is a contiguous run of groups (one ids
+        slice, offsets rebased to it), and the matrix blocks concatenate
+        back in shard order, so the result is byte-identical to one
+        serial columnar pass.
         """
-        shards = shard_ranges(len(id_lists), self.jobs * _SHARDS_PER_JOB)
+        shards = shard_ranges(len(groups), self.jobs * _SHARDS_PER_JOB)
         if not shards:
             return [], np.empty((0, len(functions)), dtype=np.float64)
         pool = self._ensure_pool()
@@ -436,7 +441,7 @@ class ParallelExecutor:
         futures = [
             pool.submit(
                 _score_shard,
-                [id_lists[i] for i in shard],
+                groups.shard(shard.start, shard.stop),
                 functions,
                 graph_median_degree,
                 include_internal_adjacency,

@@ -3,8 +3,10 @@
 The paper's random-walk baseline (Fig. 5) and the uniform, BFS-ball and
 forest-fire ablation samplers, on integer vertex ids: the sampler state
 is a boolean mask plus CSR row slices, and node labels appear only at the
-boundary (the returned sets).  These are the only production samplers;
-every one runs serially, in the ``--jobs`` workers and from the cache.
+boundary (the label sets).  :func:`sample_matched_ids` hands the Fig. 5
+driver the id arrays themselves.  These are the only production
+samplers; every one runs serially, in the ``--jobs`` workers and from
+the cache.
 
 **Replay guarantee.**  Each sampler consumes randomness exactly like the
 label-level implementation it replaced (kept in ``tests/oracles/``) —
@@ -34,7 +36,7 @@ fig5-store benchmark, but 3.7–4.3× as long on the in-memory
 ``build_google_plus`` graph, whose mean row of 68 entries is closer to
 the long rows of the real Google+ crawl.
 
-**Replicate independence.**  :func:`sample_matched_sets` derives one
+**Replicate independence.**  :func:`sample_matched_ids` derives one
 child seed per replicate (:func:`repro.sampling.seeds.spawn_child_seeds`)
 instead of threading a single RNG through the loop, so replicate ``i``'s
 stream does not depend on replicates ``0..i-1`` — which is what lets the
@@ -68,6 +70,7 @@ __all__ = [
     "uniform_vertex_set",
     "ENGINE_SAMPLERS",
     "SAMPLER_IDS",
+    "sample_matched_ids",
     "sample_matched_sets",
 ]
 
@@ -311,6 +314,39 @@ SAMPLER_IDS = {
 }
 
 
+def sample_matched_ids(
+    context: AnalysisContext,
+    sizes: Sequence[int],
+    sampler: str,
+    *,
+    seed: int | None = None,
+    jobs: int | None = None,
+    cache: "ResultCache | str | bool | None" = None,
+    executor: ParallelExecutor | None = None,
+) -> list[np.ndarray]:
+    """One vertex-id array per entry of ``sizes`` using a named sampler.
+
+    ``sampler`` is a key of :data:`SAMPLER_IDS`; every draw shares the
+    one frozen context.  Replicate ``i`` owns child stream ``i`` of
+    ``seed``, so serial and parallel (``jobs``/``executor``) execution
+    emit identical draws.  Each array is ascending and unique, ready for
+    :meth:`~repro.engine.ids.GroupIds.from_arrays`.  Seeded draws may be
+    served from ``cache``.
+    """
+    context = AnalysisContext.ensure(context)
+    sizes = [int(size) for size in sizes]
+    if sampler not in SAMPLER_IDS:
+        known = ", ".join(sorted(SAMPLER_IDS))
+        raise KeyError(f"unknown sampler {sampler!r}; known: {known}")
+    with obs.span("sampler.matched_sets"):
+        id_lists = _matched_ids(
+            context, sizes, sampler, seed, jobs, cache, executor
+        )
+        instruments.SETS_SAMPLED.inc(len(id_lists), label=sampler)
+        obs.add("sets", len(id_lists))
+    return id_lists
+
+
 def sample_matched_sets(
     context: AnalysisContext,
     sizes: Sequence[int],
@@ -321,28 +357,21 @@ def sample_matched_sets(
     cache: "ResultCache | str | bool | None" = None,
     executor: ParallelExecutor | None = None,
 ) -> list[set[Node]]:
-    """One vertex set per entry of ``sizes`` using a named sampler.
-
-    ``sampler`` is a key of :data:`SAMPLER_IDS`; every draw shares the
-    one frozen context.  Replicate ``i`` owns child stream ``i`` of
-    ``seed``, so serial and parallel (``jobs``/``executor``) execution
-    emit identical sets.  Seeded draws may be served from ``cache``.
-    """
+    """Draw like :func:`sample_matched_ids`; return each draw's labels."""
     context = AnalysisContext.ensure(context)
-    sizes = [int(size) for size in sizes]
-    if sampler not in SAMPLER_IDS:
-        known = ", ".join(sorted(SAMPLER_IDS))
-        raise KeyError(f"unknown sampler {sampler!r}; known: {known}")
-    with obs.span("sampler.matched_sets"):
-        sets = _matched_sets(
-            context, sizes, sampler, seed, jobs, cache, executor
-        )
-        instruments.SETS_SAMPLED.inc(len(sets), label=sampler)
-        obs.add("sets", len(sets))
-    return sets
+    id_lists = sample_matched_ids(
+        context,
+        sizes,
+        sampler,
+        seed=seed,
+        jobs=jobs,
+        cache=cache,
+        executor=executor,
+    )
+    return [_id_labels(context, ids) for ids in id_lists]
 
 
-def _matched_sets(
+def _matched_ids(
     context: AnalysisContext,
     sizes: list[int],
     sampler: str,
@@ -350,7 +379,7 @@ def _matched_sets(
     jobs: int | None,
     cache: "ResultCache | str | bool | None",
     executor: ParallelExecutor | None,
-) -> list[set[Node]]:
+) -> list[np.ndarray]:
     store = ResultCache.resolve(cache)
     key = None
     if store is not None and seed is not None:
@@ -359,7 +388,7 @@ def _matched_sets(
         )
         cached = store.load_id_sets(key)
         if cached is not None:
-            return [_id_labels(context, ids) for ids in cached]
+            return cached
 
     child_seeds = spawn_child_seeds(seed, len(sizes))
     own_executor = False
@@ -382,4 +411,4 @@ def _matched_sets(
             executor.close()
     if key is not None and store is not None:
         store.store_id_sets(key, id_lists)
-    return [_id_labels(context, ids) for ids in id_lists]
+    return id_lists

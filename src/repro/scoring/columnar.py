@@ -41,6 +41,7 @@ from repro.scoring.base import GroupStats, ScoringFunction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.engine.context import AnalysisContext
+    from repro.engine.ids import GroupIds
 
 Node = Hashable
 
@@ -74,7 +75,7 @@ class GroupStatsBatch:
     directed: bool
     #: median total degree of the whole graph, if precomputed (for FOMD)
     graph_median_degree: float | None
-    #: deduplicated member labels of each group (batch order)
+    #: deduplicated member labels of each group, ascending vertex id
     members: tuple[tuple[Node, ...], ...] = field(repr=False)
     #: per-group columns (int64, aligned with the batch order)
     n_C: np.ndarray = field(repr=False)
@@ -244,7 +245,7 @@ def score_matrix(
 
 def score_stats_columns(
     context: "AnalysisContext",
-    groups: Sequence[Iterable[Node]],
+    groups: "GroupIds | Sequence[Iterable[Node]]",
     functions: Sequence[ScoringFunction],
     *,
     graph_median_degree: float | None = None,
@@ -252,10 +253,12 @@ def score_stats_columns(
 ) -> tuple[list[int], np.ndarray]:
     """Compute stats columns and score them in one pass.
 
-    Returns per-group deduplicated sizes and the ``(G, F)`` score
-    matrix.  The one shared helper behind every batch scoring entry
-    point — worker shards and the serial paths produce their packed
-    column shards here, which is what keeps ``--jobs`` byte-identical.
+    ``groups`` is a canonical :class:`~repro.engine.ids.GroupIds` or
+    label lists (mapped to one by the stats pass).  Returns per-group
+    deduplicated sizes and the ``(G, F)`` score matrix.  The one shared
+    helper behind every batch scoring entry point — worker shards and
+    the serial paths produce their packed column shards here, which is
+    what keeps ``--jobs`` byte-identical.
     """
     from repro.engine.batch import batch_group_stats_columns
 

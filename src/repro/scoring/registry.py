@@ -19,6 +19,7 @@ from repro import obs
 from repro.data.groups import GroupSet, VertexGroup
 from repro.engine.cache import ResultCache, function_tokens
 from repro.engine.context import AnalysisContext
+from repro.engine.ids import GroupIds
 from repro.engine.parallel import ParallelExecutor, resolve_jobs
 from repro.obs import capture_manifest, instruments
 from repro.graph.digraph import DiGraph
@@ -202,7 +203,7 @@ def score_group(
 
 def score_groups(
     graph: Graph | DiGraph | AnalysisContext,
-    groups: GroupSet | Sequence[VertexGroup],
+    groups: GroupIds | GroupSet | Sequence[VertexGroup],
     functions: Sequence[ScoringFunction] | None = None,
     *,
     restrict_to_graph: bool = True,
@@ -212,10 +213,12 @@ def score_groups(
 ) -> ScoreTable:
     """Score every group of ``groups`` under ``functions``.
 
-    ``functions`` defaults to the paper's four (analytic Modularity).  With
-    ``restrict_to_graph`` (default) group members absent from the graph are
-    dropped first — matching how the experiments treat sampled corpora —
-    and groups emptied by the restriction are skipped.
+    ``functions`` defaults to the paper's four (analytic Modularity).
+    ``groups`` is a named canonical :class:`~repro.engine.ids.GroupIds`
+    or label groups, which are mapped to one once, here.  With
+    ``restrict_to_graph`` (default) label members absent from the graph
+    are dropped first — matching how the experiments treat sampled
+    corpora — and groups emptied by the restriction are skipped.
 
     ``graph`` may be a raw :class:`Graph`/:class:`DiGraph` (frozen into an
     :class:`~repro.engine.AnalysisContext` once, here) or an existing
@@ -240,29 +243,28 @@ def score_groups(
             else None
         )
         include_adjacency = _needs(functions, TriangleParticipationRatio)
-
-        group_list = list(groups)
-        names = [group.name for group in group_list]
-        member_lists = [list(group.members) for group in group_list]
-        if restrict_to_graph:
-            restricted = context.restrict(member_lists)
-            names = [name for name, kept in zip(names, restricted) if kept]
-            member_lists = [kept for kept in restricted if kept]
+        if not isinstance(groups, GroupIds):
+            group_list = list(groups)
+            groups = GroupIds.from_labels(
+                context,
+                [group.members for group in group_list],
+                names=[group.name for group in group_list],
+                restrict=restrict_to_graph,
+            )
+        if groups.names is None:
+            raise ValueError("score_groups needs named groups")
+        names = list(groups.names)
         sizes: list[int] = []
 
         tokens = function_tokens(functions)
         store = ResultCache.resolve(cache)
-        id_lists: list[np.ndarray] | None = None
         key: str | None = None
         if store is not None and tokens is not None:
-            id_lists = [
-                context.vertex_ids(members) for members in member_lists
-            ]
             key = store.score_groups_key(
                 context,
                 tokens=tokens,
                 group_names=names,
-                id_lists=id_lists,
+                id_lists=groups.slices(),
                 include_internal_adjacency=include_adjacency,
             )
             hit = store.load_score_table(key)
@@ -284,15 +286,10 @@ def score_groups(
                 executor is not None
                 and executor.active
                 and tokens is not None
-                and member_lists
+                and len(groups)
             ):
-                if id_lists is None:
-                    id_lists = [
-                        context.vertex_ids(members)
-                        for members in member_lists
-                    ]
                 sizes, matrix = executor.score_groups(
-                    id_lists,
+                    groups,
                     functions,
                     graph_median_degree=median,
                     include_internal_adjacency=include_adjacency,
@@ -300,7 +297,7 @@ def score_groups(
             else:
                 sizes, matrix = score_stats_columns(
                     context,
-                    member_lists,
+                    groups,
                     functions,
                     graph_median_degree=median,
                     include_internal_adjacency=include_adjacency,

@@ -32,7 +32,13 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.engine import ResultCache, function_tokens, query_key, resolve_jobs
+from repro.engine import (
+    GroupIds,
+    ResultCache,
+    function_tokens,
+    query_key,
+    resolve_jobs,
+)
 from repro.exceptions import EmptyGroupError, NodeNotFound
 from repro.obs import instruments
 from repro.scoring.base import ScoringFunction
@@ -125,26 +131,25 @@ def _match(pattern: str, path: str) -> dict[str, str] | None:
     return params
 
 
-def _restrict_groups(
-    entry: ResidentDataset, groups: Sequence
-) -> tuple[list[str], list[list[Node]]]:
+def _restrict_groups(entry: ResidentDataset, groups: Sequence) -> GroupIds:
     """Apply ``score_groups``' ``restrict_to_graph`` semantics.
 
-    Stored-group queries must produce the same names, member lists and
-    therefore the same :func:`~repro.engine.query_key` as a
-    ``repro score --mmap-dir`` run over the sidecar: members absent from
-    the graph are dropped, groups emptied by the restriction skipped.
+    Stored-group queries must produce the same names, ids and therefore
+    the same :func:`~repro.engine.query_key` as a ``repro score
+    --mmap-dir`` run over the sidecar: members absent from the graph are
+    dropped, groups emptied by the restriction skipped.
     """
-    restricted = entry.context.restrict(
-        [list(group.members) for group in groups]
+    ids = GroupIds.from_labels(
+        entry.context,
+        [group.members for group in groups],
+        names=[group.name for group in groups],
+        restrict=True,
     )
-    names = [group.name for group, kept in zip(groups, restricted) if kept]
-    member_lists = [kept for kept in restricted if kept]
-    if not names:
+    if not len(ids):
         raise HttpError(
             400, "every requested group is empty after graph restriction"
         )
-    return names, member_lists
+    return ids
 
 
 def _float(value: float) -> float | str:
@@ -161,9 +166,7 @@ class _ScoredQuery:
     """One resolved score query: identity, inputs and (later) results."""
 
     entry: ResidentDataset
-    names: list[str]
-    member_lists: list[list[Node]] = field(repr=False)
-    id_lists: list[np.ndarray] = field(repr=False)
+    groups: GroupIds = field(repr=False)
     functions: Sequence[ScoringFunction] = field(repr=False)
     function_names: list[str] = field(default_factory=list)
     key: str = ""
@@ -447,32 +450,26 @@ class CircleService:
     def _prepare_query(
         self,
         entry: ResidentDataset,
-        names: list[str],
-        member_lists: list[list[Node]],
+        groups: GroupIds,
         function_names: list[str],
         functions: list[ScoringFunction],
     ) -> _ScoredQuery:
-        """Resolve ids and derive the content-addressed query key."""
-        id_lists = [
-            entry.context.vertex_ids(members) for members in member_lists
-        ]
+        """Derive the content-addressed key of one query's id groups."""
         tokens = function_tokens(functions)
         if tokens is None:  # pragma: no cover - registry functions tokenize
             raise HttpError(400, "functions carry non-scalar state")
         key = query_key(
             entry.context,
             tokens=tokens,
-            group_names=names,
-            id_lists=id_lists,
+            group_names=groups.names,
+            id_lists=groups.slices(),
             include_internal_adjacency=any(
                 isinstance(f, TriangleParticipationRatio) for f in functions
             ),
         )
         return _ScoredQuery(
             entry=entry,
-            names=names,
-            member_lists=member_lists,
-            id_lists=id_lists,
+            groups=groups,
             functions=functions,
             function_names=function_names,
             key=key,
@@ -523,20 +520,17 @@ class CircleService:
             query.entry.context,
             query.functions,
             query.entry.executor(),
-            query.names,
-            query.member_lists,
-            query.id_lists,
+            query.groups,
         )
         columns = {
             function.name: np.ascontiguousarray(rows[:, j])
             for j, function in enumerate(query.functions)
         }
+        names = list(query.groups.names)
         if self.store is not None:
-            self.store.store_score_table(
-                query.key, query.names, sizes, columns
-            )
+            self.store.store_score_table(query.key, names, sizes, columns)
         return ScoreTable(
-            group_names=query.names, group_sizes=sizes, columns=columns
+            group_names=names, group_sizes=sizes, columns=columns
         )
 
     def _render_score_payload(
@@ -598,9 +592,11 @@ class CircleService:
             groups = self._resolve_stored_groups(
                 entry, request.query.get("groups")
             )
-            names, member_lists = _restrict_groups(entry, groups)
             query = self._prepare_query(
-                entry, names, member_lists, function_names, functions
+                entry,
+                _restrict_groups(entry, groups),
+                function_names,
+                functions,
             )
             return await self._score_response(request, query)
         finally:
@@ -645,11 +641,14 @@ class CircleService:
                             f"{member!r}",
                         )
                 names.append(name)
-                member_lists.append(list(dict.fromkeys(members)))
+                member_lists.append(members)
             if len(set(names)) != len(names):
                 raise HttpError(400, "duplicate group names in body")
+            groups = GroupIds.from_labels(
+                entry.context, member_lists, names=names
+            )
             query = self._prepare_query(
-                entry, names, member_lists, function_names, functions
+                entry, groups, function_names, functions
             )
             return await self._score_response(request, query)
         finally:
@@ -673,11 +672,12 @@ class CircleService:
                     request.query.get("functions")
                 )
                 groups = self._resolve_stored_groups(entry, None)
-                group_names, member_lists = _restrict_groups(entry, groups)
                 queries.append(
                     self._prepare_query(
-                        entry, group_names, member_lists,
-                        function_names, functions,
+                        entry,
+                        _restrict_groups(entry, groups),
+                        function_names,
+                        functions,
                     )
                 )
             combined = hashlib.sha256(
@@ -702,7 +702,7 @@ class CircleService:
                         {
                             "name": query.entry.name,
                             "fingerprint": query.entry.fingerprint,
-                            "groups": len(query.names),
+                            "groups": len(query.groups),
                             "summary": {
                                 name: {
                                     k: _float(v) for k, v in stats.items()

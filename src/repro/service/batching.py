@@ -6,8 +6,10 @@ the batch kernel's setup per request; the engine is fastest when it
 sees *many groups at once*.  The :class:`MicroBatcher` therefore queues
 requests per ``(dataset, functions)`` coalescing key, waits up to
 ``window`` seconds for siblings to arrive (flushing early at
-``max_batch``), and runs the union of all pending groups through a
-single columnar :func:`~repro.scoring.columnar.score_stats_columns` /
+``max_batch``), and runs the union of all pending groups — each
+request's canonical :class:`~repro.engine.ids.GroupIds`, joined end to
+end — through a single columnar
+:func:`~repro.scoring.columnar.score_stats_columns` /
 :meth:`~repro.engine.ParallelExecutor.score_groups` invocation.  Each
 request then receives exactly its own slice of the combined sizes and
 ``(G, F)`` score matrix.
@@ -22,12 +24,12 @@ mirror that code path exactly.
 from __future__ import annotations
 
 import asyncio
-from collections.abc import Hashable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine import AnalysisContext, ParallelExecutor
+from repro.engine import AnalysisContext, GroupIds, ParallelExecutor
 from repro.obs import instruments
 from repro.scoring.base import ScoringFunction
 from repro.scoring.columnar import score_stats_columns
@@ -36,27 +38,24 @@ from repro.scoring.internal import (
     TriangleParticipationRatio,
 )
 
-Node = Hashable
-
 __all__ = ["MicroBatcher", "ScoreRequest", "score_member_lists"]
 
 
 def score_member_lists(
     context: AnalysisContext,
-    member_lists: Sequence[Sequence[Node]],
-    id_lists: Sequence[np.ndarray],
+    groups: GroupIds,
     functions: Sequence[ScoringFunction],
     executor: ParallelExecutor | None = None,
 ) -> tuple[list[int], np.ndarray]:
-    """Score member lists exactly like ``score_groups`` would.
+    """Score canonical id groups exactly like ``score_groups`` would.
 
     Returns per-group deduplicated sizes and the ``(G, F)`` float64
-    score matrix (one column per function, in function order).  The
-    serial path feeds *labels* to the shared columnar helper
-    (:func:`~repro.scoring.columnar.score_stats_columns`) and the
-    parallel path feeds *vertex ids* to the executor — the same split
-    :func:`repro.scoring.registry.score_groups` makes, which is what
-    keeps service responses byte-identical to CLI output.
+    score matrix (one column per function, in function order).  Serial
+    and parallel alike take the ids: the shared columnar helper
+    (:func:`~repro.scoring.columnar.score_stats_columns`) or the
+    executor — the same split :func:`repro.scoring.registry.score_groups`
+    makes, which is what keeps service responses byte-identical to CLI
+    output.
     """
     median = (
         context.median_degree
@@ -66,17 +65,16 @@ def score_member_lists(
     include_adjacency = any(
         isinstance(f, TriangleParticipationRatio) for f in functions
     )
-    if executor is not None and executor.active and member_lists:
-        sizes, rows = executor.score_groups(
-            list(id_lists),
+    if executor is not None and executor.active and len(groups):
+        return executor.score_groups(
+            groups,
             functions,
             graph_median_degree=median,
             include_internal_adjacency=include_adjacency,
         )
-        return sizes, rows
     return score_stats_columns(
         context,
-        member_lists,
+        groups,
         functions,
         graph_median_degree=median,
         include_internal_adjacency=include_adjacency,
@@ -87,9 +85,7 @@ def score_member_lists(
 class ScoreRequest:
     """One request's share of a micro-batch: its groups and its future."""
 
-    names: list[str]
-    member_lists: list[list[Node]]
-    id_lists: list[np.ndarray]
+    groups: GroupIds
     future: asyncio.Future = field(repr=False)
 
 
@@ -129,9 +125,7 @@ class MicroBatcher:
         context: AnalysisContext,
         functions: Sequence[ScoringFunction],
         executor: ParallelExecutor | None,
-        names: list[str],
-        member_lists: list[list[Node]],
-        id_lists: list[np.ndarray],
+        groups: GroupIds,
     ) -> tuple[list[int], np.ndarray]:
         """Queue one request under ``key``; await its slice of the batch."""
         loop = asyncio.get_running_loop()
@@ -141,14 +135,9 @@ class MicroBatcher:
                 context=context, functions=functions, executor=executor
             )
             self._states[key] = state
-        request = ScoreRequest(
-            names=names,
-            member_lists=member_lists,
-            id_lists=id_lists,
-            future=loop.create_future(),
-        )
+        request = ScoreRequest(groups=groups, future=loop.create_future())
         state.pending.append(request)
-        if sum(len(r.names) for r in state.pending) >= self.max_batch:
+        if sum(len(r.groups) for r in state.pending) >= self.max_batch:
             self._flush(key)
         elif state.handle is None:
             state.handle = loop.call_later(
@@ -173,19 +162,14 @@ class MicroBatcher:
         requests = state.pending
         instruments.SERVICE_BATCHES.inc()
         instruments.SERVICE_BATCH_SIZE.observe(len(requests))
-        member_lists: list[list[Node]] = []
-        id_lists: list[np.ndarray] = []
-        for request in requests:
-            member_lists.extend(request.member_lists)
-            id_lists.extend(request.id_lists)
+        groups = GroupIds.concat([request.groups for request in requests])
         loop = asyncio.get_running_loop()
         try:
             sizes, rows = await loop.run_in_executor(
                 None,
                 score_member_lists,
                 state.context,
-                member_lists,
-                id_lists,
+                groups,
                 state.functions,
                 state.executor,
             )
@@ -196,7 +180,7 @@ class MicroBatcher:
             return
         offset = 0
         for request in requests:
-            stop = offset + len(request.names)
+            stop = offset + len(request.groups)
             if not request.future.done():
                 request.future.set_result(
                     (sizes[offset:stop], rows[offset:stop])

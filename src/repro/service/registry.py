@@ -50,6 +50,7 @@ class ResidentDataset:
         "name",
         "context",
         "groups",
+        "_by_name",
         "fingerprint",
         "jobs",
         "leases",
@@ -68,6 +69,7 @@ class ResidentDataset:
         self.name = name
         self.context = context
         self.groups = groups
+        self._by_name = {group.name: group for group in groups}
         self.fingerprint = fingerprint_context(context)
         self.jobs = jobs
         self.leases = 0
@@ -76,10 +78,7 @@ class ResidentDataset:
 
     def group(self, name: str):
         """Return the stored group called ``name``, or ``None``."""
-        for group in self.groups:
-            if group.name == name:
-                return group
-        return None
+        return self._by_name.get(name)
 
     def executor(self) -> ParallelExecutor | None:
         """The dataset's shared worker pool (``None`` when serial)."""
@@ -135,8 +134,8 @@ class DatasetRegistry:
 
         Raises :class:`UnknownDatasetError` for names outside the root
         (including path-traversal attempts) and for directories that are
-        not valid stores.  Callers must pair every acquire with exactly
-        one :meth:`release`.
+        not valid stores or hold a damaged ``groups.json``.  Callers
+        must pair every acquire with exactly one :meth:`release`.
         """
         entry = self._resident.get(name)
         if entry is None:
@@ -161,15 +160,15 @@ class DatasetRegistry:
         directory = self.root / name
         if not (directory / "meta.json").is_file():
             raise UnknownDatasetError(name)
+        groups_path = directory / "groups.json"
         try:
             context = AnalysisContext.open(directory)
+            if groups_path.is_file():
+                groups = load_groups(groups_path)
+            else:
+                groups = GroupSet(name=name)
         except (GraphError, FormatError, OSError, ValueError) as exc:
             raise UnknownDatasetError(f"{name}: {exc}") from exc
-        groups_path = directory / "groups.json"
-        if groups_path.is_file():
-            groups = load_groups(groups_path)
-        else:
-            groups = GroupSet(name=name)
         return ResidentDataset(name, context, groups, jobs=self.jobs)
 
     def _evict_over_budget(self) -> None:

@@ -5,6 +5,7 @@ import pytest
 from repro.data.groups import Circle, Community, GroupSet, VertexGroup
 from repro.engine.delta import ContextDelta
 from repro.exceptions import EmptyGroupError
+from tests.data.sidecar_damage import DAMAGES, damage_sidecar
 
 
 class TestVertexGroup:
@@ -213,3 +214,30 @@ class TestGroupsJsonRoundTrip:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(FormatError, match="newer"):
             load_groups(path)
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    def test_load_rejects_damaged_sidecar(self, tmp_path, damage):
+        """Both readers refuse each damage with a FormatError naming the
+        file and, for a damaged record, its group."""
+        from repro.data import load_groups, save_groups
+        from repro.data.groups import load_group_labels
+        from repro.exceptions import FormatError
+
+        path = save_groups(self._sample_set(), tmp_path / "groups.json")
+        name = damage_sidecar(path, damage)
+        for load in (load_groups, load_group_labels):
+            with pytest.raises(FormatError) as excinfo:
+                load(path)
+            assert str(path) in str(excinfo.value)
+            if name:
+                assert repr(name) in str(excinfo.value)
+
+    def test_group_labels_keep_stored_members_in_order(self, tmp_path):
+        from repro.data import save_groups
+        from repro.data.groups import load_group_labels
+
+        path = save_groups(self._sample_set(), tmp_path / "groups.json")
+        names, lengths, labels = load_group_labels(path)
+        assert names == ["plain", "ring", "anon", "comm"]
+        assert lengths == [3, 2, 1, 2]
+        assert labels == [1, 2, 3, "a", "b", "x", 5, 6]

@@ -117,6 +117,20 @@ def test_rep103_fires_on_rng_shared_across_two_pipelines():
     assert "REP103" in rule_ids(source)
 
 
+def test_rep103_fires_when_the_ids_sampler_shares_an_rng():
+    source = """
+        import random
+        __all__ = ["f"]
+
+        def f(ctx, sizes, seed):
+            rng = random.Random(seed)
+            ids = sample_matched_ids(ctx, sizes, "uniform", seed=rng)
+            walk = random_walk_set(ctx, sizes[0], seed=rng)
+            return ids, walk
+    """
+    assert "REP103" in rule_ids(source)
+
+
 def test_rep103_quiet_on_repeated_draws_from_one_pipeline():
     source = """
         import random

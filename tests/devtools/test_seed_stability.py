@@ -33,6 +33,7 @@ for name in (
     "nullmodel.viger_latapy",
     "nullmodel.double_edge_swap",
     "detection.louvain",
+    "scoring.avg_odf",
 ):
     print(name, fingerprint(PIPELINES[name](3)))
 """

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.groups import GroupSet, VertexGroup
-from repro.engine import AnalysisContext
+from repro.engine import AnalysisContext, GroupIds
 from repro.exceptions import GraphError, NodeNotFound
 from repro.graph.csr import IdentityIndex
 from repro.graph.digraph import DiGraph
@@ -242,11 +242,25 @@ class TestBulkIdentityLabels:
     @settings(max_examples=200, deadline=None)
     def test_restrict_matches_per_label_path(self, integer_context, lists):
         index_of = integer_context.index_of
-        restricted = integer_context.restrict(lists)
-        expected = [[l for l in labels if l in index_of] for labels in lists]
-        assert restricted == expected
-        for got, want in zip(restricted, expected):
-            assert all(a is b for a, b in zip(got, want))
+        flat = [label for labels in lists for label in labels]
+        ids, known = integer_context.lookup(flat)
+        assert known.tolist() == [label in index_of for label in flat]
+        assert ids[known].tolist() == [
+            index_of[label] for label in flat if label in index_of
+        ]
+        names = [f"g{i}" for i in range(len(lists))]
+        groups = GroupIds.from_labels(
+            integer_context, lists, names=names, restrict=True
+        )
+        expected = [
+            (name, sorted({index_of[l] for l in labels if l in index_of}))
+            for name, labels in zip(names, lists)
+        ]
+        expected = [(name, kept) for name, kept in expected if kept]
+        assert list(groups.names) == [name for name, _ in expected]
+        assert [group.tolist() for group in groups.slices()] == [
+            kept for _, kept in expected
+        ]
 
     @given(lists=st.lists(_LABEL_LISTS.filter(bool), max_size=5))
     @settings(max_examples=100, deadline=None)
@@ -261,7 +275,10 @@ class TestBulkIdentityLabels:
         )
         index_of = integer_context.index_of
         expected = [
-            (group.name, [l for l in group.members if l in index_of])
+            (
+                group.name,
+                sorted({index_of[l] for l in group.members if l in index_of}),
+            )
             for group in groups
         ]
         expected = [(name, kept) for name, kept in expected if kept]
@@ -272,5 +289,7 @@ class TestBulkIdentityLabels:
         ) as spy:
             table = registry.score_groups(integer_context, groups, cache=False)
         assert table.group_names == [name for name, _ in expected]
-        member_lists = spy.call_args.args[1]
-        assert member_lists == [kept for _, kept in expected]
+        scored = spy.call_args.args[1]
+        assert [group.tolist() for group in scored.slices()] == [
+            kept for _, kept in expected
+        ]

@@ -19,6 +19,7 @@ import pytest
 from repro.data.groups import GroupSet, VertexGroup
 from repro.engine import (
     AnalysisContext,
+    GroupIds,
     ParallelExecutor,
     resolve_jobs,
     sample_matched_sets,
@@ -186,7 +187,7 @@ def test_empty_batch_returns_empty_without_spawning():
     context = AnalysisContext(scrambled_graph(directed=False))
     with ParallelExecutor(context, jobs=4) as executor:
         sizes, rows = executor.score_groups(
-            [],
+            GroupIds.from_arrays([], n=context.num_vertices),
             make_paper_functions(),
             graph_median_degree=None,
             include_internal_adjacency=False,
@@ -212,7 +213,7 @@ class _Kaboom:
 def test_worker_crash_surfaces_as_parallel_error():
     graph = scrambled_graph(directed=False, n=20, m=60)
     context = AnalysisContext(graph)
-    ids = [context.vertex_ids(sorted(graph.nodes)[:5])]
+    ids = GroupIds.from_labels(context, [sorted(graph.nodes)[:5]])
     with ParallelExecutor(context, jobs=2) as executor:
         with pytest.raises(ParallelError, match="--jobs 1"):
             executor.score_groups(
@@ -274,7 +275,7 @@ def test_workers_cannot_write_the_shared_context(source, tmp_path):
 def test_executor_close_is_idempotent():
     context = AnalysisContext(scrambled_graph(directed=False, n=20, m=60))
     executor = ParallelExecutor(context, jobs=2)
-    ids = [context.vertex_ids(sorted(context.graph.nodes)[:4])]
+    ids = GroupIds.from_labels(context, [sorted(context.graph.nodes)[:4]])
     sizes, rows = executor.score_groups(
         ids,
         make_paper_functions(),

@@ -44,7 +44,9 @@ def compute_group_stats(
     """Compute :class:`GroupStats` for ``members`` within ``graph``.
 
     Members absent from the graph raise :class:`NodeNotFound`; an empty
-    member set raises :class:`EmptyGroupError`.  Directed conventions match
+    member set raises :class:`EmptyGroupError`.  Members are ordered by
+    their position in the graph's node order, the production batches'
+    ascending vertex-id order.  Directed conventions match
     the paper: ``m_C`` counts each directed internal edge once, ``c_C``
     counts boundary edges of either direction, ``d(v) = d_in + d_out``.
 
@@ -54,9 +56,16 @@ def compute_group_stats(
     ``include_internal_adjacency=False`` skips materializing the induced
     internal adjacency (only TPR consumes it).
     """
-    member_tuple = tuple(dict.fromkeys(members))  # stable order, deduplicated
+    member_tuple = tuple(dict.fromkeys(members))  # deduplicated
     if not member_tuple:
         raise EmptyGroupError("cannot score an empty vertex group")
+    # Members in the production batches' order: ascending vertex id,
+    # which is the position in the graph's node order.
+    position = {node: i for i, node in enumerate(graph)}
+    for node in member_tuple:
+        if node not in position:
+            raise NodeNotFound(node)
+    member_tuple = tuple(sorted(member_tuple, key=position.__getitem__))
     member_set = frozenset(member_tuple)
     n_C = len(member_set)
     count = len(member_tuple)

@@ -137,7 +137,7 @@ def test_production_scoring_goes_through_score_matrix(entry, monkeypatch):
     """
     from repro import obs
     from repro.data.groups import GroupSet, VertexGroup
-    from repro.engine import parallel
+    from repro.engine import GroupIds, parallel
     from repro.obs import instruments
     from repro.scoring.registry import make_paper_functions, score_groups
     from repro.service.batching import score_member_lists
@@ -162,14 +162,12 @@ def test_production_scoring_goes_through_score_matrix(entry, monkeypatch):
             )
             score_groups(context, groups, functions, jobs=1, cache=False)
         elif entry == "score_member_lists":
-            id_lists = [context.vertex_ids(members) for members in member_lists]
-            score_member_lists(context, member_lists, id_lists, functions)
+            ids = GroupIds.from_labels(context, member_lists)
+            score_member_lists(context, ids, functions)
         else:
             monkeypatch.setitem(parallel._WORKER, "context", context)
-            id_lists = [context.vertex_ids(members) for members in member_lists]
-            parallel._score_shard(
-                id_lists, functions, context.median_degree, False
-            )
+            ids = GroupIds.from_labels(context, member_lists)
+            parallel._score_shard(ids, functions, context.median_degree, False)
         vectorized = {
             function.name: instruments.SCORING_VECTORIZED.value(function.name)
             for function in functions

@@ -9,7 +9,13 @@ from __future__ import annotations
 import asyncio
 import json
 
+import pytest
+
 from repro.obs import instruments
+from repro.service import CircleService, ServiceConfig
+from repro.service.http import Request
+from tests.data.sidecar_damage import DAMAGES, damage_sidecar
+from tests.service.conftest import freeze_dataset
 
 
 class TestSimpleEndpoints:
@@ -87,6 +93,42 @@ class TestErrorMapping:
         status, _, payload = service_runner(scenario)
         assert status == 404
         assert "ghost" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    def test_damaged_sidecar_is_an_unknown_dataset(self, tmp_path, damage):
+        """A store whose groups.json is damaged answers 404 on every
+        dataset route, like any other unusable store."""
+        freeze_dataset(tmp_path, "broken", seed=11)
+        damage_sidecar(tmp_path / "broken" / "groups.json", damage)
+        body = json.dumps(
+            {"groups": [{"name": "adhoc", "members": [0, 1, 2]}]}
+        ).encode("utf-8")
+        requests = [
+            ("GET", "/v1/datasets/broken", b""),
+            ("GET", "/v1/datasets/broken/groups", b""),
+            ("GET", "/v1/datasets/broken/score", b""),
+            ("POST", "/v1/datasets/broken/score", body),
+        ]
+
+        async def harness():
+            service = CircleService(
+                ServiceConfig(root=tmp_path, port=0, cache=False)
+            )
+            await service.start()
+            try:
+                return [
+                    await service.dispatch(
+                        Request(method, path, path, {}, {}, payload)
+                    )
+                    for method, path, payload in requests
+                ]
+            finally:
+                await service.shutdown()
+
+        for response in asyncio.run(harness()):
+            assert response.status == 404
+            message = json.loads(response.body)["error"]["message"]
+            assert "unknown dataset" in message and "groups.json" in message
 
     def test_malformed_group_list_400(self, service_runner):
         async def scenario(service, client):

@@ -9,7 +9,7 @@ from multiprocessing import shared_memory
 
 import pytest
 
-from repro.engine import AnalysisContext
+from repro.engine import AnalysisContext, GroupIds
 from repro.scoring import PAPER_FUNCTION_NAMES, make_function
 from repro.service import (
     CircleService,
@@ -90,7 +90,7 @@ def test_mid_batch_teardown_leaves_no_shm_orphans():
     functions = [make_function(name) for name in PAPER_FUNCTION_NAMES]
     group = next(iter(entry.groups))
     members = sorted(group.members)
-    ids = entry.context.vertex_ids(members)
+    ids = GroupIds.from_labels(entry.context, [members], names=[group.name])
 
     async def harness():
         executor = entry.executor()
@@ -106,9 +106,7 @@ def test_mid_batch_teardown_leaves_no_shm_orphans():
                 entry.context,
                 functions,
                 executor,
-                [group.name],
-                [members],
-                [ids],
+                ids,
             )
         )
         await asyncio.sleep(0)

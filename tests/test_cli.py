@@ -1,9 +1,13 @@
 """CLI tests — builders are monkeypatched to the small session datasets so
 the commands run in unit-test time."""
 
+import json
+import shutil
+
 import pytest
 
 from repro import cli
+from tests.data.sidecar_damage import DAMAGES, damage_sidecar
 
 
 @pytest.fixture(autouse=True)
@@ -245,6 +249,20 @@ class TestTrace:
         assert "Separation summary" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def scale_store(tmp_path_factory):
+    """A small planted-partition store (``freeze --scale 3000``), frozen
+    once per module; tests that rewrite it work on a copy."""
+    store = tmp_path_factory.mktemp("scale") / "store"
+    argv = ["--seed", "3", "freeze", "--scale", "3000", "-o", str(store)]
+    assert cli.main(argv) == 0
+    return store
+
+
+def _store_copy(scale_store, tmp_path):
+    return shutil.copytree(scale_store, tmp_path / "store")
+
+
 class TestOutOfCoreCommands:
     def test_freeze_score_delta_round_trip(self, capsys, tmp_path):
         store = tmp_path / "store"
@@ -289,3 +307,65 @@ class TestOutOfCoreCommands:
         monkeypatch.delenv("REPRO_MMAP_DIR", raising=False)
         with pytest.raises(SystemExit, match="mmap-dir"):
             cli.main(["delta"])
+
+    def test_score_matches_in_process_scoring_of_a_messy_sidecar(
+        self, capsys, tmp_path, scale_store
+    ):
+        """A label the store lacks, a repeated member and a group that
+        restriction empties: the flat sidecar path prints what
+        ``score_groups(context, load_groups(sidecar))`` computes, and
+        ``--jobs 2`` prints what ``--jobs 1`` does."""
+        from repro.analysis.report import render_table
+        from repro.data.groups import load_groups
+        from repro.engine import AnalysisContext
+        from repro.scoring.registry import score_groups
+
+        store = _store_copy(scale_store, tmp_path)
+        sidecar = store / "groups.json"
+        payload = json.loads(sidecar.read_text(encoding="utf-8"))
+        context = AnalysisContext.open(store)
+        absent = context.num_vertices + 7
+        first, second = payload["groups"][:2]
+        first["members"] += [absent, "ghost", first["members"][0]]
+        second["members"] = second["members"][::-1] + second["members"][:3]
+        payload["groups"].append(
+            {"kind": "group", "name": "ghosts", "members": [absent, "nobody"]}
+        )
+        sidecar.write_text(json.dumps(payload), encoding="utf-8")
+
+        table = score_groups(context, load_groups(sidecar), cache=False)
+        assert len(table) == len(payload["groups"]) - 1
+        outputs = []
+        for jobs in ("1", "2"):
+            argv = ["score", "--mmap-dir", str(store), "--no-cache"]
+            assert cli.main(argv + ["--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        rows = [
+            {"function": name, **values}
+            for name, values in table.summary().items()
+        ]
+        assert render_table(rows, title="Score summary (stored groups)") in (
+            outputs[0]
+        )
+        counts = [
+            line for line in outputs[0].splitlines() if "groups scored" in line
+        ]
+        assert counts == [f"groups scored : {len(table)}"]
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    def test_damaged_sidecar_exits_with_the_error(
+        self, tmp_path, scale_store, damage
+    ):
+        store = _store_copy(scale_store, tmp_path)
+        name = damage_sidecar(store / "groups.json", damage)
+        for argv in (
+            ["score", "--mmap-dir", str(store)],
+            ["delta", "--mmap-dir", str(store), "--drop-edges", "1"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(argv)
+            message = str(excinfo.value.code)
+            assert "groups.json" in message
+            if name:
+                assert repr(name) in message
