@@ -2,10 +2,12 @@
 # One-command correctness gate, in order: the custom lint pass (findings,
 # baseline ratchet and a SARIF artifact, each on 2 jobs), the
 # seed-determinism check on the fast pipelines under two hash seeds
-# (outputs must match), parallel-identity smoke, observability overhead
-# smoke (with a sample trace artifact), out-of-core scale smoke, service
-# QPS smoke, columnar scoring bench, the bench-trajectory regression
-# gate, then the tier-1 test suite.
+# (outputs must match), a byte-compile of src/ (so the timing smokes do
+# not recompile stale modules in every fresh process when
+# PYTHONDONTWRITEBYTECODE is set), parallel-identity smoke,
+# observability overhead smoke (with a sample trace artifact),
+# out-of-core scale smoke, service QPS smoke, columnar scoring bench,
+# the bench-trajectory regression gate, then the tier-1 test suite.
 # Exits non-zero on the first failure so it can gate PRs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -37,6 +39,12 @@ for hash_seed in 5 47; do
         | tee "$BENCH_OUT/determinism-$hash_seed.txt"
 done
 diff "$BENCH_OUT/determinism-5.txt" "$BENCH_OUT/determinism-47.txt"
+
+echo "== byte-compile src/ (fresh bytecode for the timing smokes) =="
+# With PYTHONDONTWRITEBYTECODE=1 a module edited since its .pyc was
+# written is recompiled in every process, and the smokes' stage children
+# start their clocks before their imports.
+python -m compileall -q src
 
 echo "== parallel scoring smoke (Fig. 5 serial vs --jobs 2, CSV byte diff) =="
 python benchmarks/bench_parallel_scoring.py --smoke --jobs 2 \

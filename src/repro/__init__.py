@@ -16,109 +16,103 @@ Quickstart::
         print(name, row)
 """
 
-from repro.analysis import (
-    Characterization,
-    CircleClassification,
-    CircleFeatures,
-    CirclesVsRandomResult,
-    CrossDatasetResult,
-    EgoViewResult,
-    EmpiricalCDF,
-    OverlapReport,
-    RobustnessResult,
-    TwoSampleResult,
-    analyze_overlap,
-    characterize,
-    circle_features,
-    circles_vs_random,
-    classify_circles,
-    compare_datasets,
-    directed_vs_undirected,
-    ego_centered_scores,
-    export_figures,
-    ks_two_sample,
-    mann_whitney_u,
-    render_cdf_panel,
-    render_kv,
-    render_table,
-    separation_report,
-    table2_comparison,
-)
-from repro.detection import (
-    best_match_jaccard,
-    coverage_fraction,
-    label_propagation_communities,
-    louvain_communities,
-    mean_best_jaccard,
-    partition_modularity,
-)
-from repro.data import (
-    MAGNO_REFERENCE,
-    PAPER_DATASETS,
-    Circle,
-    Community,
-    Dataset,
-    DatasetSpec,
-    EgoNetwork,
-    EgoNetworkCollection,
-    GroupSet,
-    VertexGroup,
-)
-from repro.engine import random_walk_set
-from repro.graph import CSRGraph, DiGraph, Graph, to_directed, to_undirected
-from repro.scoring import (
-    GroupStats,
-    Modularity,
-    NullModelEnsemble,
-    make_all_functions,
-    make_function,
-    make_paper_functions,
-    score_group,
-    score_groups,
-)
-from repro.synth import (
-    CommunityGraphConfig,
-    EgoCollectionConfig,
-    barabasi_albert_graph,
-    build_google_plus,
-    build_livejournal,
-    build_magno_reference,
-    build_orkut,
-    build_twitter,
-    erdos_renyi_graph,
-    generate_community_graph,
-    generate_ego_collection,
-    load_all_paper_datasets,
-    watts_strogatz_graph,
-)
+import os as _os
+
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-#: Exports of ``repro.powerlaw``, resolved on first access (PEP 562): it
-#: imports scipy, about a second per process that only degree fitting
-#: needs, so ``score``, ``delta`` and ``serve`` must never load it.
-_POWERLAW_EXPORTS = ("best_fit", "fit_tail")
+#: Each export and the module that defines it, imported on first access,
+#: so ``import repro`` loads no submodule and each command loads only
+#: the modules its path runs.
+_EXPORTS = {
+    # graph substrate
+    "Graph": "repro.graph.ugraph",
+    "DiGraph": "repro.graph.digraph",
+    "CSRGraph": "repro.graph.csr",
+    "to_directed": "repro.graph.convert",
+    "to_undirected": "repro.graph.convert",
+    # data model
+    "VertexGroup": "repro.data.groups",
+    "Circle": "repro.data.groups",
+    "Community": "repro.data.groups",
+    "GroupSet": "repro.data.groups",
+    "EgoNetwork": "repro.data.ego",
+    "EgoNetworkCollection": "repro.data.ego",
+    "Dataset": "repro.data.datasets",
+    "DatasetSpec": "repro.data.datasets",
+    "PAPER_DATASETS": "repro.data.datasets",
+    "MAGNO_REFERENCE": "repro.data.datasets",
+    # scoring
+    "GroupStats": "repro.scoring.base",
+    "Modularity": "repro.scoring.modularity",
+    "NullModelEnsemble": "repro.scoring.modularity",
+    "make_function": "repro.scoring.registry",
+    "make_paper_functions": "repro.scoring.registry",
+    "make_all_functions": "repro.scoring.registry",
+    "score_group": "repro.scoring.registry",
+    "score_groups": "repro.scoring.registry",
+    # sampling / fitting (repro.powerlaw imports scipy, about a second that
+    # only degree fitting needs: score, delta and serve must never load it)
+    "random_walk_set": "repro.engine.samplers",
+    "best_fit": "repro.powerlaw.comparison",
+    "fit_tail": "repro.powerlaw.fitting",
+    # synthetic corpora
+    "EgoCollectionConfig": "repro.synth.ego_generator",
+    "CommunityGraphConfig": "repro.synth.community_graph",
+    "generate_ego_collection": "repro.synth.ego_generator",
+    "generate_community_graph": "repro.synth.community_graph",
+    "build_google_plus": "repro.synth.paper_datasets",
+    "build_twitter": "repro.synth.paper_datasets",
+    "build_livejournal": "repro.synth.paper_datasets",
+    "build_orkut": "repro.synth.paper_datasets",
+    "build_magno_reference": "repro.synth.paper_datasets",
+    "load_all_paper_datasets": "repro.synth.paper_datasets",
+    "erdos_renyi_graph": "repro.synth.random_graphs",
+    "barabasi_albert_graph": "repro.synth.random_graphs",
+    "watts_strogatz_graph": "repro.synth.random_graphs",
+    # detection (extension)
+    "louvain_communities": "repro.detection.louvain",
+    "partition_modularity": "repro.detection.louvain",
+    "label_propagation_communities": "repro.detection.label_propagation",
+    "best_match_jaccard": "repro.detection.overlap_metrics",
+    "mean_best_jaccard": "repro.detection.overlap_metrics",
+    "coverage_fraction": "repro.detection.overlap_metrics",
+    # analysis
+    "EmpiricalCDF": "repro.analysis.cdf",
+    "Characterization": "repro.analysis.characterization",
+    "characterize": "repro.analysis.characterization",
+    "table2_comparison": "repro.analysis.characterization",
+    "OverlapReport": "repro.analysis.overlap",
+    "analyze_overlap": "repro.analysis.overlap",
+    "CirclesVsRandomResult": "repro.analysis.experiment",
+    "circles_vs_random": "repro.analysis.experiment",
+    "CrossDatasetResult": "repro.analysis.comparison",
+    "compare_datasets": "repro.analysis.comparison",
+    "RobustnessResult": "repro.analysis.robustness",
+    "directed_vs_undirected": "repro.analysis.robustness",
+    "render_table": "repro.analysis.report",
+    "render_kv": "repro.analysis.report",
+    "render_cdf_panel": "repro.analysis.report",
+    "EgoViewResult": "repro.analysis.ego_view",
+    "ego_centered_scores": "repro.analysis.ego_view",
+    "CircleFeatures": "repro.analysis.circle_types",
+    "CircleClassification": "repro.analysis.circle_types",
+    "circle_features": "repro.analysis.circle_types",
+    "classify_circles": "repro.analysis.circle_types",
+    "TwoSampleResult": "repro.analysis.stats",
+    "ks_two_sample": "repro.analysis.stats",
+    "mann_whitney_u": "repro.analysis.stats",
+    "separation_report": "repro.analysis.stats",
+    "export_figures": "repro.analysis.export",
+}
 
-
-def __getattr__(name: str):
-    if name not in _POWERLAW_EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module("repro.powerlaw"), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_POWERLAW_EXPORTS))
-
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
+__all__ = ["__version__", *_EXPORTS]
 
 # Opt-in runtime invariant checking: REPRO_CHECK_INVARIANTS=1 wraps every
 # mutating substrate method with a post-condition validation pass.  The
 # import is deferred so the devtools layer costs nothing when disabled.
-import os as _os
-
 if _os.environ.get("REPRO_CHECK_INVARIANTS", "").strip().lower() not in (
     "",
     "0",
@@ -129,85 +123,3 @@ if _os.environ.get("REPRO_CHECK_INVARIANTS", "").strip().lower() not in (
     from repro.devtools.invariants import install_invariant_checks as _install
 
     _install()
-
-__all__ = [
-    "__version__",
-    # graph substrate
-    "Graph",
-    "DiGraph",
-    "CSRGraph",
-    "to_directed",
-    "to_undirected",
-    # data model
-    "VertexGroup",
-    "Circle",
-    "Community",
-    "GroupSet",
-    "EgoNetwork",
-    "EgoNetworkCollection",
-    "Dataset",
-    "DatasetSpec",
-    "PAPER_DATASETS",
-    "MAGNO_REFERENCE",
-    # scoring
-    "GroupStats",
-    "Modularity",
-    "NullModelEnsemble",
-    "make_function",
-    "make_paper_functions",
-    "make_all_functions",
-    "score_group",
-    "score_groups",
-    # sampling / fitting
-    "random_walk_set",
-    "best_fit",
-    "fit_tail",
-    # synthetic corpora
-    "EgoCollectionConfig",
-    "CommunityGraphConfig",
-    "generate_ego_collection",
-    "generate_community_graph",
-    "build_google_plus",
-    "build_twitter",
-    "build_livejournal",
-    "build_orkut",
-    "build_magno_reference",
-    "load_all_paper_datasets",
-    "erdos_renyi_graph",
-    "barabasi_albert_graph",
-    "watts_strogatz_graph",
-    # detection (extension)
-    "louvain_communities",
-    "partition_modularity",
-    "label_propagation_communities",
-    "best_match_jaccard",
-    "mean_best_jaccard",
-    "coverage_fraction",
-    # analysis
-    "EmpiricalCDF",
-    "Characterization",
-    "characterize",
-    "table2_comparison",
-    "OverlapReport",
-    "analyze_overlap",
-    "CirclesVsRandomResult",
-    "circles_vs_random",
-    "CrossDatasetResult",
-    "compare_datasets",
-    "RobustnessResult",
-    "directed_vs_undirected",
-    "render_table",
-    "render_kv",
-    "render_cdf_panel",
-    "EgoViewResult",
-    "ego_centered_scores",
-    "CircleFeatures",
-    "CircleClassification",
-    "circle_features",
-    "classify_circles",
-    "TwoSampleResult",
-    "ks_two_sample",
-    "mann_whitney_u",
-    "separation_report",
-    "export_figures",
-]

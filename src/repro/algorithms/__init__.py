@@ -1,71 +1,40 @@
 """Graph algorithms: traversal, shortest paths, triangles/clustering,
 degree statistics and core decomposition."""
 
-from repro.algorithms.cores import core_numbers, k_core
-from repro.algorithms.degrees import (
-    average_degree,
-    average_in_degree,
-    average_out_degree,
-    degree_assortativity,
-    degree_histogram,
-    degree_sequence,
-    in_degree_sequence,
-    out_degree_sequence,
-    reciprocity,
-)
-from repro.algorithms.shortest_paths import (
-    average_shortest_path,
-    diameter,
-    distance_distribution,
-    double_sweep_lower_bound,
-    eccentricity,
-)
-from repro.algorithms.traversal import (
-    bfs_layers,
-    bfs_order,
-    connected_components,
-    csr_bfs_distances,
-    csr_connected_components,
-    dfs_order,
-    is_connected,
-    largest_connected_component,
-)
-from repro.algorithms.triangles import (
-    average_clustering,
-    clustering_values,
-    local_clustering,
-    transitivity,
-    triangles_per_vertex,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "bfs_order",
-    "bfs_layers",
-    "dfs_order",
-    "connected_components",
-    "largest_connected_component",
-    "is_connected",
-    "csr_bfs_distances",
-    "csr_connected_components",
-    "eccentricity",
-    "double_sweep_lower_bound",
-    "diameter",
-    "average_shortest_path",
-    "distance_distribution",
-    "triangles_per_vertex",
-    "local_clustering",
-    "clustering_values",
-    "average_clustering",
-    "transitivity",
-    "degree_sequence",
-    "in_degree_sequence",
-    "out_degree_sequence",
-    "degree_histogram",
-    "average_degree",
-    "average_in_degree",
-    "average_out_degree",
-    "reciprocity",
-    "degree_assortativity",
-    "core_numbers",
-    "k_core",
-]
+#: Each export and the module that defines it, imported on first access.
+_EXPORTS = {
+    "bfs_order": "repro.algorithms.traversal",
+    "bfs_layers": "repro.algorithms.traversal",
+    "dfs_order": "repro.algorithms.traversal",
+    "connected_components": "repro.algorithms.traversal",
+    "largest_connected_component": "repro.algorithms.traversal",
+    "is_connected": "repro.algorithms.traversal",
+    "csr_bfs_distances": "repro.algorithms.traversal",
+    "csr_connected_components": "repro.algorithms.traversal",
+    "eccentricity": "repro.algorithms.shortest_paths",
+    "double_sweep_lower_bound": "repro.algorithms.shortest_paths",
+    "diameter": "repro.algorithms.shortest_paths",
+    "average_shortest_path": "repro.algorithms.shortest_paths",
+    "distance_distribution": "repro.algorithms.shortest_paths",
+    "triangles_per_vertex": "repro.algorithms.triangles",
+    "local_clustering": "repro.algorithms.triangles",
+    "clustering_values": "repro.algorithms.triangles",
+    "average_clustering": "repro.algorithms.triangles",
+    "transitivity": "repro.algorithms.triangles",
+    "degree_sequence": "repro.algorithms.degrees",
+    "in_degree_sequence": "repro.algorithms.degrees",
+    "out_degree_sequence": "repro.algorithms.degrees",
+    "degree_histogram": "repro.algorithms.degrees",
+    "average_degree": "repro.algorithms.degrees",
+    "average_in_degree": "repro.algorithms.degrees",
+    "average_out_degree": "repro.algorithms.degrees",
+    "reciprocity": "repro.algorithms.degrees",
+    "degree_assortativity": "repro.algorithms.degrees",
+    "core_numbers": "repro.algorithms.cores",
+    "k_core": "repro.algorithms.cores",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -33,41 +33,43 @@ records a JSONL trace plus a ``.manifest.json`` sidecar; ``repro trace
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, NoReturn
 
 from repro import obs
-from repro.analysis.characterization import characterize, table2_comparison
-from repro.analysis.comparison import compare_datasets
-from repro.analysis.experiment import circles_vs_random
-from repro.analysis.overlap import analyze_overlap
-from repro.analysis.report import render_cdf_panel, render_kv, render_table
-from repro.analysis.robustness import directed_vs_undirected
-from repro.data.datasets import Dataset
-from repro.data.groups import load_group_labels, load_groups, save_groups
-from repro.engine import AnalysisContext, GroupIds
-from repro.exceptions import FormatError, GraphError
-from repro.obs import write_manifests
-from repro.synth.paper_datasets import (
-    build_google_plus,
-    build_livejournal,
-    build_magno_reference,
-    build_orkut,
-    build_twitter,
-)
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.data.datasets import Dataset
+    from repro.engine import AnalysisContext
 
 __all__ = ["main"]
 
+# Each command imports the drivers its path runs inside its handler, so
+# a cold ``repro score --mmap-dir`` loads neither the synthetic
+# generators nor the other commands' analysis code.
+
+
+def _paper_builder(name: str) -> Callable[..., Dataset]:
+    """A corpus builder that imports the generators on its first call."""
+
+    def build(*args: object, **kwargs: object) -> Dataset:
+        from repro.synth import paper_datasets
+
+        return getattr(paper_datasets, name)(*args, **kwargs)
+
+    return build
+
+
 _BUILDERS = {
-    "google_plus": build_google_plus,
-    "twitter": build_twitter,
-    "livejournal": build_livejournal,
-    "orkut": build_orkut,
-    "magno": build_magno_reference,
+    "google_plus": _paper_builder("build_google_plus"),
+    "twitter": _paper_builder("build_twitter"),
+    "livejournal": _paper_builder("build_livejournal"),
+    "orkut": _paper_builder("build_orkut"),
+    "magno": _paper_builder("build_magno_reference"),
 }
 
 #: Accepted spellings for the synthetic corpora (paper-ish names included).
@@ -100,6 +102,9 @@ def _dataset_name(args: argparse.Namespace) -> str:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
+    from repro.analysis.characterization import characterize, table2_comparison
+    from repro.analysis.report import render_kv, render_table
+
     chosen = _dataset_name(args)
     names = list(_BUILDERS) if chosen == "all" else [chosen]
     rows = []
@@ -117,6 +122,9 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _cmd_overlap(args: argparse.Namespace) -> int:
+    from repro.analysis.overlap import analyze_overlap
+    from repro.analysis.report import render_kv, render_table
+
     dataset = _build(_dataset_name(args), args.seed)
     if dataset.ego_collection is None:
         raise SystemExit(f"dataset {dataset.name!r} has no ego collection")
@@ -133,6 +141,7 @@ def _cmd_overlap(args: argparse.Namespace) -> int:
 
 def _cmd_degree_fit(args: argparse.Namespace) -> int:
     from repro.algorithms.degrees import degree_sequence, in_degree_sequence
+    from repro.analysis.report import render_kv, render_table
     from repro.powerlaw.comparison import best_fit
 
     dataset = _build(_dataset_name(args), args.seed)
@@ -172,6 +181,9 @@ def _mmap_dir(args: argparse.Namespace) -> str | None:
 
 def _open_context(directory: str) -> "tuple[AnalysisContext, Path]":
     """Attach an on-disk CSR store; return it and its sidecar's path."""
+    from repro.engine.context import AnalysisContext
+    from repro.exceptions import GraphError
+
     try:
         context = AnalysisContext.open(directory)
     except GraphError as exc:
@@ -186,6 +198,9 @@ def _open_context(directory: str) -> "tuple[AnalysisContext, Path]":
 
 def _open_store(directory: str) -> "tuple[AnalysisContext, object]":
     """Attach an on-disk CSR store plus its ``groups.json`` sidecar."""
+    from repro.data.groups import load_groups
+    from repro.exceptions import FormatError
+
     context, groups_path = _open_context(directory)
     try:
         return context, load_groups(groups_path)
@@ -197,6 +212,10 @@ def _cmd_score(args: argparse.Namespace) -> int:
     mmap_dir = _mmap_dir(args)
     if mmap_dir is not None:
         return _score_store(args, mmap_dir)
+    from repro.analysis.experiment import circles_vs_random
+    from repro.analysis.report import render_cdf_panel, render_table
+    from repro.engine.context import AnalysisContext
+
     dataset = _build(_dataset_name(args), args.seed)
     context = AnalysisContext(dataset.graph)
     result = circles_vs_random(
@@ -234,6 +253,10 @@ def _score_store(args: argparse.Namespace, mmap_dir: str) -> int:
     batch/parallel/cache machinery, and the output is byte-identical to
     scoring the same graph in RAM.
     """
+    from repro.analysis.report import render_kv, render_table
+    from repro.data.groups import load_group_labels
+    from repro.engine.ids import GroupIds
+    from repro.exceptions import FormatError
     from repro.scoring.registry import score_groups
 
     context, groups_path = _open_context(mmap_dir)
@@ -268,26 +291,6 @@ def _score_store(args: argparse.Namespace, mmap_dir: str) -> int:
     return 0
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return fallback
-    try:
-        return float(raw)
-    except ValueError:
-        raise SystemExit(f"{name} must be a number, got {raw!r}") from None
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve score queries over a directory of frozen CSR stores.
 
@@ -307,20 +310,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host
         or os.environ.get("REPRO_SERVE_HOST", "").strip()
         or "127.0.0.1",
-        port=args.port
-        if args.port is not None
-        else _env_int("REPRO_SERVE_PORT", 8734),
+        port=args.port,
         jobs=args.jobs,
         cache=_cache_arg(args),
-        max_resident=args.max_resident
-        if args.max_resident is not None
-        else _env_int("REPRO_SERVE_MAX_RESIDENT", 4),
-        batch_window=args.batch_window
-        if args.batch_window is not None
-        else _env_float("REPRO_SERVE_WINDOW", 0.005),
-        max_batch=args.max_batch
-        if args.max_batch is not None
-        else _env_int("REPRO_SERVE_MAX_BATCH", 64),
+        max_resident=args.max_resident,
+        batch_window=args.batch_window,
+        max_batch=args.max_batch,
     )
     service = CircleService(config)
 
@@ -350,6 +345,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_freeze(args: argparse.Namespace) -> int:
     """Stream-freeze a dataset (or a --scale benchmark) to a CSR store."""
+    from repro.data.groups import save_groups
+    from repro.engine.context import AnalysisContext
     from repro.synth.stream import (
         GraphEdgeStream,
         benchmark_stream,
@@ -388,6 +385,8 @@ def _sample_store_edges(
     index array uniformly and maps them back to label pairs — no edge
     list is ever materialized.
     """
+    import numpy as np
+
     csr = context.csr_out if context.is_directed else context.csr
     total = csr.indices.shape[0]
     rng = np.random.default_rng(seed)
@@ -408,13 +407,21 @@ def _sample_store_edges(
 
 def _cmd_delta(args: argparse.Namespace) -> int:
     """Apply a random edge-removal delta and rescore only dirty groups."""
-    from repro.engine import batch_group_stats_columns
+    from repro.analysis.report import render_kv
+    from repro.engine.batch import batch_group_stats_columns
     from repro.engine.delta import ContextDelta, rescore_groups_columns
 
     mmap_dir = _mmap_dir(args)
     if mmap_dir is None:
         raise SystemExit("delta: --mmap-dir (or REPRO_MMAP_DIR) is required")
     context, groups = _open_store(mmap_dir)
+    if not 0 <= args.drop_edges <= context.num_edges:
+        # Sampling draws distinct edges until it has enough: a count the
+        # store cannot meet would spin through 100 draws per edge asked.
+        _usage_error(
+            f"--drop-edges {args.drop_edges} is outside [0, "
+            f"{context.num_edges}], the store's edge count"
+        )
     removals = _sample_store_edges(context, args.drop_edges, args.seed or 0)
     delta = ContextDelta(remove_edges=tuple(removals))
     baseline = batch_group_stats_columns(
@@ -441,6 +448,10 @@ def _cmd_delta(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.analysis.comparison import compare_datasets
+    from repro.analysis.report import render_cdf_panel, render_table
+    from repro.engine.context import AnalysisContext
+
     datasets = [
         _build(name, args.seed)
         for name in ("google_plus", "twitter", "livejournal", "orkut")
@@ -463,6 +474,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_kv
+    from repro.analysis.robustness import directed_vs_undirected
+    from repro.engine.context import AnalysisContext
+
     dataset = _build(_dataset_name(args), args.seed)
     result = directed_vs_undirected(
         dataset,
@@ -481,6 +496,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     from repro.analysis.circle_types import classify_circles
+    from repro.analysis.report import render_kv, render_table
 
     dataset = _build(_dataset_name(args), args.seed)
     if dataset.structure != "circles":
@@ -507,6 +523,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_ego_view(args: argparse.Namespace) -> int:
     from repro.analysis.ego_view import ego_centered_scores
+    from repro.analysis.report import render_kv, render_table
 
     dataset = _build(_dataset_name(args), args.seed)
     if dataset.ego_collection is None:
@@ -525,6 +542,7 @@ def _cmd_ego_view(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_kv
     from repro.detection import (
         louvain_communities,
         mean_best_jaccard,
@@ -599,7 +617,7 @@ def _write_trace(
     path = Path(trace_out)
     tracer.write_jsonl(path)
     manifest_path = path.with_suffix(".manifest.json")
-    write_manifests(tracer.manifests, manifest_path)
+    obs.write_manifests(tracer.manifests, manifest_path)
     if trace_format == "text":
         print(tracer.render_text(), file=sys.stderr)
     print(
@@ -616,7 +634,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         raise SystemExit("trace: missing command to run (repro trace <cmd> ...)")
     if rest[0] == "trace":
         raise SystemExit("trace: cannot nest 'repro trace trace'")
-    inner = build_parser().parse_args(rest)
+    inner = _parse_args(build_parser(), rest)
     tracer = obs.enable(name=" ".join(rest), memory=args.memory)
     try:
         code = inner.handler(inner)
@@ -636,6 +654,73 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.list:
         forwarded.append("--list")
     return determinism_main(forwarded)
+
+
+def _usage_error(message: str) -> NoReturn:
+    """Exit 2 with ``message``, as argparse does for a bad flag value."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _number(
+    kind: type, minimum: float, maximum: float | None = None
+) -> Callable[[str], Any]:
+    """An argparse type: a finite ``kind`` in ``[minimum, maximum]``."""
+    noun = "an integer" if kind is int else "a number"
+    bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+
+    def parse(text: str) -> Any:
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (
+            math.isfinite(value)
+            and value >= minimum
+            and (maximum is None or value <= maximum)
+        ):
+            raise argparse.ArgumentTypeError(
+                f"must be {noun} {bound}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_COUNT = _number(int, 1)
+_PORT = _number(int, 0, 65535)
+
+#: Numeric flags that fall back to an environment variable, then to a
+#: default: (flag dest, variable, parser, default).  The variable's value
+#: is checked by the flag's own parser.
+_ENV_FALLBACKS = (
+    ("jobs", "REPRO_JOBS", _COUNT, 1),
+    ("port", "REPRO_SERVE_PORT", _PORT, 8734),
+    ("max_resident", "REPRO_SERVE_MAX_RESIDENT", _COUNT, 4),
+    ("batch_window", "REPRO_SERVE_WINDOW", _number(float, 0), 0.005),
+    ("max_batch", "REPRO_SERVE_MAX_BATCH", _COUNT, 64),
+)
+
+
+def _parse_args(
+    parser: argparse.ArgumentParser, argv: Sequence[str] | None
+) -> argparse.Namespace:
+    """Parse ``argv`` and resolve each unset numeric flag's fallback.
+
+    Every numeric value is checked here, at the CLI edge, whether it
+    came from a flag or from its environment variable: a bad one exits
+    2 with a message naming the flag or the variable.
+    """
+    args = parser.parse_args(argv)
+    for dest, variable, parse, default in _ENV_FALLBACKS:
+        if getattr(args, dest, default) is not None:
+            continue
+        raw = os.environ.get(variable, "").strip()
+        try:
+            setattr(args, dest, parse(raw) if raw else default)
+        except argparse.ArgumentTypeError as exc:
+            _usage_error(f"{variable} {exc}")
+    return args
 
 
 def _add_dataset_argument(
@@ -669,7 +754,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduce 'Are Circles Communities?' (ICDCS 2014)",
     )
     parser.add_argument(
-        "--seed", type=int, default=None, help="generation seed (default: per-dataset)"
+        "--seed",
+        type=_number(int, 0),
+        default=None,
+        help="generation seed (default: per-dataset)",
     )
     # Shared by every subcommand: record a JSONL trace of the run.
     trace_parent = argparse.ArgumentParser(add_help=False)
@@ -684,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf_parent = argparse.ArgumentParser(add_help=False)
     perf_parent.add_argument(
         "--jobs",
-        type=int,
+        type=_COUNT,
         default=None,
         metavar="N",
         help="worker processes for scoring/sampling "
@@ -757,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     freeze_parser.add_argument(
         "--scale",
-        type=int,
+        type=_COUNT,
         default=None,
         metavar="EDGES",
         help="freeze a planted-partition benchmark stream of this many "
@@ -765,7 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     freeze_parser.add_argument(
         "--chunk-edges",
-        type=int,
+        type=_COUNT,
         default=1 << 22,
         metavar="N",
         help="edges per streamed chunk (bounds the freeze's peak RSS)",
@@ -812,13 +900,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--port",
-        type=int,
+        type=_PORT,
         default=None,
         help="bind port, 0 for ephemeral (default: $REPRO_SERVE_PORT or 8734)",
     )
     serve_parser.add_argument(
         "--max-resident",
-        type=int,
+        type=_COUNT,
         default=None,
         metavar="N",
         help="datasets kept warm before LRU eviction "
@@ -826,7 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--batch-window",
-        type=float,
+        type=_number(float, 0),
         default=None,
         metavar="SECONDS",
         help="micro-batch coalescing window "
@@ -834,7 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--max-batch",
-        type=int,
+        type=_COUNT,
         default=None,
         metavar="N",
         help="groups per micro-batch before an early flush "
@@ -987,8 +1075,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(build_parser(), argv)
     trace_out = getattr(args, "trace_out", None)
     if trace_out and args.handler is not _cmd_trace:
         tracer = obs.enable(name=args.command)

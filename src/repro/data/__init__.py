@@ -1,27 +1,22 @@
 """Data model: vertex groups, ego networks and dataset bundles."""
 
-from repro.data.datasets import MAGNO_REFERENCE, PAPER_DATASETS, Dataset, DatasetSpec
-from repro.data.ego import EgoNetwork, EgoNetworkCollection
-from repro.data.groups import (
-    Circle,
-    Community,
-    GroupSet,
-    VertexGroup,
-    load_groups,
-    save_groups,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "VertexGroup",
-    "Circle",
-    "Community",
-    "GroupSet",
-    "save_groups",
-    "load_groups",
-    "EgoNetwork",
-    "EgoNetworkCollection",
-    "Dataset",
-    "DatasetSpec",
-    "PAPER_DATASETS",
-    "MAGNO_REFERENCE",
-]
+#: Each export and the module that defines it, imported on first access.
+_EXPORTS = {
+    "VertexGroup": "repro.data.groups",
+    "Circle": "repro.data.groups",
+    "Community": "repro.data.groups",
+    "GroupSet": "repro.data.groups",
+    "save_groups": "repro.data.groups",
+    "load_groups": "repro.data.groups",
+    "EgoNetwork": "repro.data.ego",
+    "EgoNetworkCollection": "repro.data.ego",
+    "Dataset": "repro.data.datasets",
+    "DatasetSpec": "repro.data.datasets",
+    "PAPER_DATASETS": "repro.data.datasets",
+    "MAGNO_REFERENCE": "repro.data.datasets",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
+__all__ = list(_EXPORTS)

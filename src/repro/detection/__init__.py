@@ -2,19 +2,17 @@
 partition-vs-groups agreement metrics for the detected-vs-declared
 comparison."""
 
-from repro.detection.label_propagation import label_propagation_communities
-from repro.detection.louvain import louvain_communities, partition_modularity
-from repro.detection.overlap_metrics import (
-    best_match_jaccard,
-    coverage_fraction,
-    mean_best_jaccard,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "louvain_communities",
-    "partition_modularity",
-    "label_propagation_communities",
-    "best_match_jaccard",
-    "mean_best_jaccard",
-    "coverage_fraction",
-]
+#: Each export and the module that defines it, imported on first access.
+_EXPORTS = {
+    "louvain_communities": "repro.detection.louvain",
+    "partition_modularity": "repro.detection.louvain",
+    "label_propagation_communities": "repro.detection.label_propagation",
+    "best_match_jaccard": "repro.detection.overlap_metrics",
+    "mean_best_jaccard": "repro.detection.overlap_metrics",
+    "coverage_fraction": "repro.detection.overlap_metrics",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -15,39 +15,29 @@ replaced live in ``tests/oracles/``, where the identity tests compare
 against them.
 """
 
-from repro.engine.batch import batch_group_stats_columns
-from repro.engine.cache import ResultCache, function_tokens, query_key
-from repro.engine.context import AnalysisContext, CSRBuffers
-from repro.engine.delta import ContextDelta, rescore_groups_columns
-from repro.engine.ids import GroupIds
-from repro.engine.parallel import ParallelExecutor, resolve_jobs
-from repro.engine.samplers import (
-    ENGINE_SAMPLERS,
-    bfs_ball_set,
-    forest_fire_set,
-    random_walk_set,
-    sample_matched_ids,
-    sample_matched_sets,
-    uniform_vertex_set,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AnalysisContext",
-    "CSRBuffers",
-    "ContextDelta",
-    "GroupIds",
-    "rescore_groups_columns",
-    "ParallelExecutor",
-    "ResultCache",
-    "function_tokens",
-    "query_key",
-    "batch_group_stats_columns",
-    "random_walk_set",
-    "bfs_ball_set",
-    "forest_fire_set",
-    "uniform_vertex_set",
-    "ENGINE_SAMPLERS",
-    "sample_matched_ids",
-    "sample_matched_sets",
-    "resolve_jobs",
-]
+#: Each export and the module that defines it, imported on first access.
+_EXPORTS = {
+    "AnalysisContext": "repro.engine.context",
+    "CSRBuffers": "repro.engine.context",
+    "ContextDelta": "repro.engine.delta",
+    "GroupIds": "repro.engine.ids",
+    "rescore_groups_columns": "repro.engine.delta",
+    "ParallelExecutor": "repro.engine.parallel",
+    "ResultCache": "repro.engine.cache",
+    "function_tokens": "repro.engine.cache",
+    "query_key": "repro.engine.cache",
+    "batch_group_stats_columns": "repro.engine.batch",
+    "random_walk_set": "repro.engine.samplers",
+    "bfs_ball_set": "repro.engine.samplers",
+    "forest_fire_set": "repro.engine.samplers",
+    "uniform_vertex_set": "repro.engine.samplers",
+    "ENGINE_SAMPLERS": "repro.engine.samplers",
+    "sample_matched_ids": "repro.engine.samplers",
+    "sample_matched_sets": "repro.engine.samplers",
+    "resolve_jobs": "repro.engine.parallel",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
+__all__ = list(_EXPORTS)

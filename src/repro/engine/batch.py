@@ -40,7 +40,7 @@ bit-identical to it on random directed and undirected graphs.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable
+from collections.abc import Hashable, Iterable, Sequence
 from typing import Literal
 
 import numpy as np
@@ -345,16 +345,10 @@ class _MemberTable:
         return np.add.reduceat(per_member, self.group_offsets[:-1])
 
 
-def _member_labels(
-    context: AnalysisContext, groups: GroupIds
-) -> tuple[tuple[Node, ...], ...]:
-    """Each group's member labels, in canonical (ascending id) order."""
-    flat = groups.ids.tolist()
+def _node_labels(context: AnalysisContext) -> Sequence[Node] | None:
+    """The labels a batch maps member ids through; None for identity."""
     nodes = context.csr.nodes
-    if not isinstance(nodes, IdentityNodes):
-        flat = list(map(nodes.__getitem__, flat))
-    bounds = groups.offsets.tolist()
-    return tuple(tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    return None if isinstance(nodes, IdentityNodes) else nodes
 
 
 def _batch_member_columns(
@@ -443,7 +437,8 @@ def _batch_member_columns(
         m=context.num_edges,
         directed=directed,
         graph_median_degree=graph_median_degree,
-        members=_member_labels(context, groups),
+        member_ids=table.ids,
+        node_labels=_node_labels(context),
         n_C=table.sizes,
         m_C=m_C_group,
         c_C=boundary_group,

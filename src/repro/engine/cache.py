@@ -27,7 +27,6 @@ nonzero, in run manifests.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import zipfile
@@ -101,6 +100,8 @@ def function_tokens(
 
 
 def _digest(parts: dict[str, object]) -> str:
+    import hashlib
+
     payload = json.dumps(parts, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -124,6 +125,8 @@ def query_key(
     ``repro score`` run and an HTTP request share one cache entry and
     one ETag universe.
     """
+    import hashlib
+
     groups = hashlib.sha256()
     for name, ids in zip(group_names, id_lists):
         groups.update(repr(name).encode("utf-8"))

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.groups import GroupSet, VertexGroup, _group_fields
-from repro.engine.batch import batch_group_stats_columns
+from repro.engine.batch import _node_labels, batch_group_stats_columns
 from repro.engine.context import AnalysisContext
 from repro.exceptions import GraphError, NodeNotFound
 from repro.graph.csr import CSRGraph
@@ -455,61 +455,65 @@ def rescore_groups_columns(
         graph_median_degree=graph_median_degree,
         include_internal_adjacency=include_internal_adjacency,
     )
+    if len(to_compute) == len(group_list):
+        # Every group was recomputed, in group order: nothing to splice.
+        return fresh
     fresh_index = {group.name: i for i, group in enumerate(to_compute)}
 
-    num_groups = len(group_list)
-    n_C = np.empty(num_groups, dtype=np.int64)
-    m_C = np.empty(num_groups, dtype=np.int64)
-    c_C = np.empty(num_groups, dtype=np.int64)
-    offsets = np.empty(num_groups + 1, dtype=np.int64)
-    offsets[0] = 0
-    members: list[tuple[Node, ...]] = []
-    degree_parts: list[np.ndarray] = []
-    internal_parts: list[np.ndarray] = []
-    in_parts: list[np.ndarray] = []
-    out_parts: list[np.ndarray] = []
-    neighbor_rows: list[np.ndarray] = []
-    for g, group in enumerate(group_list):
-        fresh_position = fresh_index.get(group.name)
-        if fresh_position is not None:
-            source, i = fresh, fresh_position
-        else:
-            source, i = previous, previous_index[group.name]
-        lo = int(source.group_offsets[i])
-        hi = int(source.group_offsets[i + 1])
-        n_C[g] = source.n_C[i]
-        m_C[g] = source.m_C[i]
-        c_C[g] = source.c_C[i]
-        offsets[g + 1] = offsets[g] + (hi - lo)
-        members.append(source.members[i])
-        degree_parts.append(source.member_degrees[lo:hi])
-        internal_parts.append(source.member_internal_degrees[lo:hi])
-        in_parts.append(source.member_in_degrees[lo:hi])
-        out_parts.append(source.member_out_degrees[lo:hi])
-        if include_internal_adjacency:
-            assert source.member_internal_neighbors is not None
-            neighbor_rows.extend(source.member_internal_neighbors[lo:hi])
+    # Stack ``previous`` and ``fresh`` (fresh rows after the previous
+    # ones) and pick each group's row; one member gather index then
+    # splices every per-member column with no per-group slicing.
+    shift = len(previous)
+    rows = np.array(
+        [
+            shift + fresh_index[group.name]
+            if group.name in fresh_index
+            else previous_index[group.name]
+            for group in group_list
+        ],
+        dtype=np.int64,
+    )
 
-    def _flat(parts: list[np.ndarray]) -> np.ndarray:
-        if not parts:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(parts)
+    def _stacked(column: str) -> np.ndarray:
+        return np.concatenate(
+            (getattr(previous, column), getattr(fresh, column))
+        )
 
+    n_C = _stacked("n_C")[rows]
+    starts = np.concatenate(
+        (
+            previous.group_offsets[:-1],
+            fresh.group_offsets[:-1] + previous.group_offsets[-1],
+        )
+    )[rows]
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(n_C, out=offsets[1:])
+    take = np.repeat(starts - offsets[:-1], n_C) + np.arange(
+        offsets[-1], dtype=np.int64
+    )
+    neighbors: tuple[np.ndarray, ...] | None = None
+    if include_internal_adjacency:
+        assert previous.member_internal_neighbors is not None
+        assert fresh.member_internal_neighbors is not None
+        stacked = (
+            *previous.member_internal_neighbors,
+            *fresh.member_internal_neighbors,
+        )
+        neighbors = tuple(stacked[j] for j in take.tolist())
     return GroupStatsBatch(
         n=context.num_vertices,
         m=context.num_edges,
         directed=context.is_directed,
         graph_median_degree=graph_median_degree,
-        members=tuple(members),
+        member_ids=_stacked("member_ids")[take],
+        node_labels=_node_labels(context),
         n_C=n_C,
-        m_C=m_C,
-        c_C=c_C,
+        m_C=_stacked("m_C")[rows],
+        c_C=_stacked("c_C")[rows],
         group_offsets=offsets,
-        member_degrees=_flat(degree_parts),
-        member_internal_degrees=_flat(internal_parts),
-        member_in_degrees=_flat(in_parts),
-        member_out_degrees=_flat(out_parts),
-        member_internal_neighbors=(
-            tuple(neighbor_rows) if include_internal_adjacency else None
-        ),
+        member_degrees=_stacked("member_degrees")[take],
+        member_internal_degrees=_stacked("member_internal_degrees")[take],
+        member_in_degrees=_stacked("member_in_degrees")[take],
+        member_out_degrees=_stacked("member_out_degrees")[take],
+        member_internal_neighbors=neighbors,
     )

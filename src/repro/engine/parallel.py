@@ -31,16 +31,12 @@ returns with its id arrays (``sampler.walk_steps``/``walk_restarts``).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING
 
 import numpy as np
-from multiprocessing import shared_memory
 
 from repro.engine.context import AnalysisContext
 from repro.engine.ids import GroupIds
@@ -49,7 +45,14 @@ from repro.graph.csr import CSRGraph, IdentityIndex, IdentityNodes
 from repro.obs import instruments
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle-free)
+    import multiprocessing.context
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import shared_memory
+
     from repro.scoring.base import ScoringFunction
+
+# multiprocessing, concurrent.futures and shared_memory load when a pool
+# or an export starts: a serial run (``jobs=1``) never needs them.
 
 __all__ = ["ParallelExecutor", "resolve_jobs", "shard_ranges"]
 
@@ -146,6 +149,8 @@ class _SharedContext:
                 self.close()
 
     def _export(self, array: np.ndarray) -> dict[str, object]:
+        from multiprocessing import shared_memory
+
         if (
             isinstance(array, np.memmap)
             and not array.flags.writeable
@@ -212,7 +217,7 @@ def _attach(ref: dict[str, object]) -> np.ndarray:
     # owns it would unlink it under the parent on worker exit (or choke
     # on the double unregister).  Python 3.13 has track=False for this;
     # here registration is suppressed for the duration of the attach.
-    from multiprocessing import resource_tracker
+    from multiprocessing import resource_tracker, shared_memory
 
     original_register = resource_tracker.register
 
@@ -356,6 +361,8 @@ def _sample_chunk(
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     # fork is the cheap path (no interpreter re-exec per worker); spawn
     # works too — workers only need the importable repro package plus the
@@ -397,6 +404,13 @@ class ParallelExecutor:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            # Workers fork from this process, once per pool: import the
+            # modules their tasks run first, so no worker imports them.
+            import repro.engine.batch  # noqa: F401
+            import repro.engine.samplers  # noqa: F401
+
             self._shared = _SharedContext(self.context)
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
@@ -407,6 +421,8 @@ class ParallelExecutor:
         return self._pool
 
     def _collect(self, futures: list) -> list:
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             return [future.result() for future in futures]
         except BrokenProcessPool as exc:

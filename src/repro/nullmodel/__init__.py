@@ -1,28 +1,21 @@
 """Null models: graphicality tests, configuration models, the
 Viger–Latapy connected random graph, and degree-preserving rewiring."""
 
-from repro.nullmodel.configuration import (
-    configuration_model,
-    directed_configuration_model,
-)
-from repro.nullmodel.degree_sequence import (
-    havel_hakimi_graph,
-    is_digraphical,
-    is_graphical,
-    kleitman_wang_graph,
-)
-from repro.nullmodel.rewiring import directed_edge_swap, double_edge_swap
-from repro.nullmodel.viger_latapy import connect_components, viger_latapy_graph
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "is_graphical",
-    "is_digraphical",
-    "havel_hakimi_graph",
-    "kleitman_wang_graph",
-    "configuration_model",
-    "directed_configuration_model",
-    "double_edge_swap",
-    "directed_edge_swap",
-    "viger_latapy_graph",
-    "connect_components",
-]
+#: Each export and the module that defines it, imported on first access.
+_EXPORTS = {
+    "is_graphical": "repro.nullmodel.degree_sequence",
+    "is_digraphical": "repro.nullmodel.degree_sequence",
+    "havel_hakimi_graph": "repro.nullmodel.degree_sequence",
+    "kleitman_wang_graph": "repro.nullmodel.degree_sequence",
+    "configuration_model": "repro.nullmodel.configuration",
+    "directed_configuration_model": "repro.nullmodel.configuration",
+    "double_edge_swap": "repro.nullmodel.rewiring",
+    "directed_edge_swap": "repro.nullmodel.rewiring",
+    "viger_latapy_graph": "repro.nullmodel.viger_latapy",
+    "connect_components": "repro.nullmodel.viger_latapy",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -17,7 +17,6 @@ is what the round-trip and on-vs-off identity tests assert.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import platform
 from dataclasses import asdict, dataclass, field
@@ -59,6 +58,8 @@ def fingerprint_context(context: "AnalysisContext") -> str:
     context — the result cache keys every lookup on it, and a frozen
     context's bytes never change.
     """
+    import hashlib
+
     from repro.graph.csr import is_identity_nodes
 
     cached = context._fingerprint  # noqa: SLF001 - memoized on the context

@@ -1,74 +1,41 @@
 """Community scoring functions (paper section V + Yang–Leskovec catalogue)."""
 
-from repro.scoring.base import GroupStats, ScoringFunction
-from repro.scoring.columnar import (
-    GroupStatsBatch,
-    scalar_score_column,
-    score_function_column,
-    score_matrix,
-    score_stats_columns,
-)
-from repro.scoring.combined import (
-    AverageOutDegreeFraction,
-    Conductance,
-    FlakeOutDegreeFraction,
-    MaxOutDegreeFraction,
-    NormalizedCut,
-    Separability,
-)
-from repro.scoring.external import Expansion, RatioCut, ScaledRatioCut
-from repro.scoring.internal import (
-    AverageDegree,
-    EdgesInside,
-    FractionOverMedianDegree,
-    InternalDensity,
-    TriangleParticipationRatio,
-)
-from repro.scoring.modularity import (
-    Modularity,
-    NullModelEnsemble,
-    analytic_expected_internal_edges,
-)
-from repro.scoring.registry import (
-    PAPER_FUNCTION_NAMES,
-    ScoreTable,
-    make_all_functions,
-    make_function,
-    make_paper_functions,
-    score_group,
-    score_groups,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GroupStats",
-    "GroupStatsBatch",
-    "ScoringFunction",
-    "scalar_score_column",
-    "score_function_column",
-    "score_matrix",
-    "score_stats_columns",
-    "AverageDegree",
-    "InternalDensity",
-    "EdgesInside",
-    "FractionOverMedianDegree",
-    "TriangleParticipationRatio",
-    "RatioCut",
-    "ScaledRatioCut",
-    "Expansion",
-    "Conductance",
-    "NormalizedCut",
-    "MaxOutDegreeFraction",
-    "AverageOutDegreeFraction",
-    "FlakeOutDegreeFraction",
-    "Separability",
-    "Modularity",
-    "NullModelEnsemble",
-    "analytic_expected_internal_edges",
-    "PAPER_FUNCTION_NAMES",
-    "ScoreTable",
-    "make_function",
-    "make_paper_functions",
-    "make_all_functions",
-    "score_group",
-    "score_groups",
-]
+#: Each export and the module that defines it, imported on first access.
+_EXPORTS = {
+    "GroupStats": "repro.scoring.base",
+    "GroupStatsBatch": "repro.scoring.columnar",
+    "ScoringFunction": "repro.scoring.base",
+    "scalar_score_column": "repro.scoring.columnar",
+    "score_function_column": "repro.scoring.columnar",
+    "score_matrix": "repro.scoring.columnar",
+    "score_stats_columns": "repro.scoring.columnar",
+    "AverageDegree": "repro.scoring.internal",
+    "InternalDensity": "repro.scoring.internal",
+    "EdgesInside": "repro.scoring.internal",
+    "FractionOverMedianDegree": "repro.scoring.internal",
+    "TriangleParticipationRatio": "repro.scoring.internal",
+    "RatioCut": "repro.scoring.external",
+    "ScaledRatioCut": "repro.scoring.external",
+    "Expansion": "repro.scoring.external",
+    "Conductance": "repro.scoring.combined",
+    "NormalizedCut": "repro.scoring.combined",
+    "MaxOutDegreeFraction": "repro.scoring.combined",
+    "AverageOutDegreeFraction": "repro.scoring.combined",
+    "FlakeOutDegreeFraction": "repro.scoring.combined",
+    "Separability": "repro.scoring.combined",
+    "Modularity": "repro.scoring.modularity",
+    "NullModelEnsemble": "repro.scoring.modularity",
+    "analytic_expected_internal_edges": "repro.scoring.modularity",
+    "PAPER_FUNCTION_NAMES": "repro.scoring.registry",
+    "ScoreTable": "repro.scoring.registry",
+    "make_function": "repro.scoring.registry",
+    "make_paper_functions": "repro.scoring.registry",
+    "make_all_functions": "repro.scoring.registry",
+    "score_group": "repro.scoring.registry",
+    "score_groups": "repro.scoring.registry",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
+__all__ = list(_EXPORTS)

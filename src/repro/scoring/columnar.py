@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -66,7 +67,9 @@ class GroupStatsBatch:
     :func:`repro.engine.batch_group_stats_columns` without materializing
     any per-group object; :meth:`row` reconstructs a single
     :class:`GroupStats` lazily where object-at-a-time code still needs
-    one.
+    one.  Member labels are likewise kept as flat canonical ids plus the
+    context's labels, and :attr:`members` is built on first read: none
+    of the paper's four functions reads it.
     """
 
     #: number of vertices / edges of the whole graph
@@ -75,8 +78,12 @@ class GroupStatsBatch:
     directed: bool
     #: median total degree of the whole graph, if precomputed (for FOMD)
     graph_median_degree: float | None
-    #: deduplicated member labels of each group, ascending vertex id
-    members: tuple[tuple[Node, ...], ...] = field(repr=False)
+    #: flat deduplicated member ids (int64, ascending within each
+    #: group), segmented by ``group_offsets``
+    member_ids: np.ndarray = field(repr=False)
+    #: the context's node labels (``node_labels[v]`` names vertex ``v``);
+    #: None when the labels are the ids themselves
+    node_labels: Sequence[Node] | None = field(repr=False)
     #: per-group columns (int64, aligned with the batch order)
     n_C: np.ndarray = field(repr=False)
     m_C: np.ndarray = field(repr=False)
@@ -113,7 +120,8 @@ class GroupStatsBatch:
             m=m,
             directed=directed,
             graph_median_degree=graph_median_degree,
-            members=(),
+            member_ids=zero,
+            node_labels=None,
             n_C=zero,
             m_C=zero,
             c_C=zero,
@@ -124,6 +132,18 @@ class GroupStatsBatch:
             member_out_degrees=zero,
             member_internal_neighbors=(() if with_neighbors else None),
         )
+
+    @cached_property
+    def members(self) -> tuple[tuple[Node, ...], ...]:
+        """Deduplicated member labels of each group, ascending vertex id.
+
+        Built from :attr:`member_ids` on first read and kept.
+        """
+        flat = self.member_ids.tolist()
+        if self.node_labels is not None:
+            flat = list(map(self.node_labels.__getitem__, flat))
+        bounds = self.group_offsets.tolist()
+        return tuple(tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
     @property
     def member_boundary_degrees(self) -> np.ndarray:

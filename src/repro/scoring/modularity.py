@@ -28,10 +28,7 @@ import numpy as np
 from repro.graph.convert import integer_index
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
-from repro.nullmodel.configuration import directed_configuration_model
-from repro.nullmodel.viger_latapy import viger_latapy_graph
 from repro.exceptions import SamplingError
-from repro.nullmodel.configuration import configuration_model
 from repro.sampling.seeds import spawn_generators
 from repro.scoring.base import GroupStats
 from repro.scoring.columnar import GroupStatsBatch, scalar_score_column
@@ -48,7 +45,15 @@ def _generate_null_graph(
     Viger-Latapy fails and ``method="auto"`` degrades to the
     configuration model, so consuming it never shifts other samples.
     Module-level so the parallel ensemble path can ship it to a pool.
+    The generators are imported here, on first use: analytic Modularity
+    never needs them.
     """
+    from repro.nullmodel.configuration import (
+        configuration_model,
+        directed_configuration_model,
+    )
+    from repro.nullmodel.viger_latapy import viger_latapy_graph
+
     kind, degrees, out_degrees, method, shuffle_factor = payload
     primary, fallback = seed_pair
     if kind == "directed":
@@ -185,6 +190,11 @@ class NullModelEnsemble:
         jobs = resolve_jobs(jobs)
         if jobs > 1 and samples > 1:
             from concurrent.futures import ProcessPoolExecutor
+
+            # The workers fork from this process: load the generators
+            # they run here, once, instead of in every worker.
+            import repro.nullmodel.configuration  # noqa: F401
+            import repro.nullmodel.viger_latapy  # noqa: F401
 
             with ProcessPoolExecutor(
                 max_workers=min(jobs, samples),

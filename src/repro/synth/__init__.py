@@ -1,57 +1,34 @@
 """Synthetic data generation: ego collections, planted communities, and
 the paper's four scaled-down corpora."""
 
-from repro.synth.community_graph import (
-    CommunityGraphConfig,
-    generate_community_graph,
-)
-from repro.synth.ego_generator import EgoCollectionConfig, generate_ego_collection
-from repro.synth.heavy_tail import bounded_zipf_sample, lognormal_sizes, zipf_weights
-from repro.synth.random_graphs import (
-    barabasi_albert_graph,
-    erdos_renyi_graph,
-    watts_strogatz_graph,
-)
-from repro.synth.paper_datasets import (
-    build_google_plus,
-    build_livejournal,
-    build_magno_reference,
-    build_orkut,
-    build_twitter,
-    load_all_paper_datasets,
-)
-from repro.synth.stream import (
-    BenchmarkStream,
-    CommunityStream,
-    EdgeStream,
-    GraphEdgeStream,
-    benchmark_stream,
-    freeze_stream,
-    stream_community_graph,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EgoCollectionConfig",
-    "generate_ego_collection",
-    "CommunityGraphConfig",
-    "generate_community_graph",
-    "lognormal_sizes",
-    "zipf_weights",
-    "bounded_zipf_sample",
-    "erdos_renyi_graph",
-    "barabasi_albert_graph",
-    "watts_strogatz_graph",
-    "build_google_plus",
-    "build_twitter",
-    "build_livejournal",
-    "build_orkut",
-    "build_magno_reference",
-    "load_all_paper_datasets",
-    "EdgeStream",
-    "GraphEdgeStream",
-    "CommunityStream",
-    "BenchmarkStream",
-    "stream_community_graph",
-    "benchmark_stream",
-    "freeze_stream",
-]
+#: Each export and the module that defines it, imported on first access.
+_EXPORTS = {
+    "EgoCollectionConfig": "repro.synth.ego_generator",
+    "generate_ego_collection": "repro.synth.ego_generator",
+    "CommunityGraphConfig": "repro.synth.community_graph",
+    "generate_community_graph": "repro.synth.community_graph",
+    "lognormal_sizes": "repro.synth.heavy_tail",
+    "zipf_weights": "repro.synth.heavy_tail",
+    "bounded_zipf_sample": "repro.synth.heavy_tail",
+    "erdos_renyi_graph": "repro.synth.random_graphs",
+    "barabasi_albert_graph": "repro.synth.random_graphs",
+    "watts_strogatz_graph": "repro.synth.random_graphs",
+    "build_google_plus": "repro.synth.paper_datasets",
+    "build_twitter": "repro.synth.paper_datasets",
+    "build_livejournal": "repro.synth.paper_datasets",
+    "build_orkut": "repro.synth.paper_datasets",
+    "build_magno_reference": "repro.synth.paper_datasets",
+    "load_all_paper_datasets": "repro.synth.paper_datasets",
+    "EdgeStream": "repro.synth.stream",
+    "GraphEdgeStream": "repro.synth.stream",
+    "CommunityStream": "repro.synth.stream",
+    "BenchmarkStream": "repro.synth.stream",
+    "stream_community_graph": "repro.synth.stream",
+    "benchmark_stream": "repro.synth.stream",
+    "freeze_stream": "repro.synth.stream",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
+__all__ = list(_EXPORTS)

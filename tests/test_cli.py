@@ -31,6 +31,25 @@ def small_builders(monkeypatch, small_circles_dataset, small_community_dataset):
     )
 
 
+#: (argv, environment, the flag or variable the error must name): one
+#: bad value per numeric flag, and per variable a flag falls back to.
+_BAD_NUMBERS = [
+    (["score", "--jobs", "0"], {}, "--jobs"),
+    (["score"], {"REPRO_JOBS": "abc"}, "REPRO_JOBS"),
+    (["--seed", "-1", "freeze", "--scale", "100"], {}, "--seed"),
+    (["freeze", "--scale", "0"], {}, "--scale"),
+    (["freeze", "--scale", "100", "--chunk-edges", "0"], {}, "--chunk-edges"),
+    (["serve", "--port", "99999"], {}, "--port"),
+    (["serve"], {"REPRO_SERVE_PORT": "http"}, "REPRO_SERVE_PORT"),
+    (["serve", "--max-resident", "0"], {}, "--max-resident"),
+    (["serve"], {"REPRO_SERVE_MAX_RESIDENT": "-2"}, "REPRO_SERVE_MAX_RESIDENT"),
+    (["serve", "--batch-window", "-1"], {}, "--batch-window"),
+    (["serve"], {"REPRO_SERVE_WINDOW": "inf"}, "REPRO_SERVE_WINDOW"),
+    (["serve", "--max-batch", "0"], {}, "--max-batch"),
+    (["serve"], {"REPRO_SERVE_MAX_BATCH": "1.5"}, "REPRO_SERVE_MAX_BATCH"),
+]
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -39,6 +58,36 @@ class TestParser:
     def test_unknown_dataset_exits(self):
         with pytest.raises(SystemExit, match="unknown dataset"):
             cli.main(["overlap", "nope"])
+
+    @pytest.mark.parametrize(
+        ("argv", "env", "named"),
+        _BAD_NUMBERS,
+        ids=[named for *_, named in _BAD_NUMBERS],
+    )
+    def test_bad_numeric_value_is_a_usage_error(
+        self, capsys, monkeypatch, tmp_path, argv, env, named
+    ):
+        """A bad flag value, or a bad value of the variable it falls back
+        to, exits 2 naming it before any work starts."""
+        import repro.service
+
+        def refuse(config):
+            raise AssertionError(f"service started with {config}")
+
+        monkeypatch.setattr(repro.service, "CircleService", refuse)
+        for variable in ("REPRO_JOBS", "REPRO_SERVE_PORT", "REPRO_SERVE_WINDOW",
+                         "REPRO_SERVE_MAX_RESIDENT", "REPRO_SERVE_MAX_BATCH"):
+            monkeypatch.delenv(variable, raising=False)
+        for variable, value in env.items():
+            monkeypatch.setenv(variable, value)
+        if "freeze" in argv:
+            argv = [*argv, "-o", str(tmp_path / "store")]
+        if "serve" in argv:
+            argv = [*argv, str(tmp_path)]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
 
 
 class TestCommands:
@@ -302,6 +351,24 @@ class TestOutOfCoreCommands:
     def test_score_missing_store_exits(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["score", "--mmap-dir", str(tmp_path / "missing")])
+
+    @pytest.mark.parametrize("excess", [-1, 1], ids=["negative", "over"])
+    def test_delta_rejects_a_count_the_store_cannot_meet(
+        self, capsys, scale_store, excess
+    ):
+        """A negative count, or one above the store's edge count, exits 2
+        naming both numbers, before any edge is drawn."""
+        from repro.engine import AnalysisContext
+
+        edges = AnalysisContext.open(scale_store).num_edges
+        count = -1 if excess < 0 else edges + excess
+        argv = ["delta", "--mmap-dir", str(scale_store)]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + ["--drop-edges", str(count)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--drop-edges {count}" in err
+        assert str(edges) in err
 
     def test_delta_without_store_exits(self, monkeypatch):
         monkeypatch.delenv("REPRO_MMAP_DIR", raising=False)
