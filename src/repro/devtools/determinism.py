@@ -258,6 +258,25 @@ def _pipeline_engine_random_walk(seed: int) -> object:
     return sample_matched_sets(context, [5, 8, 13], "random_walk", seed=seed)
 
 
+@register_pipeline("engine.random_walk_batch")
+def _pipeline_engine_random_walk_batch(seed: int) -> object:
+    # Enough walks for the lockstep kernel.  Labels inserted in reverse
+    # order put label rank against id order, and half the edges dropped
+    # leave dead ends, so walks restart and the largest are handed to
+    # the per-walk loop.
+    from repro.engine import AnalysisContext, sample_matched_sets
+
+    base = _base_graph()
+    graph = Graph()
+    graph.add_nodes_from(sorted(base.nodes, reverse=True))
+    edges = sorted(tuple(sorted(edge)) for edge in base.edges)
+    graph.add_edges_from(edges[::2])
+    sizes = [1 + (7 * i) % 40 for i in range(300)]
+    return sample_matched_sets(
+        AnalysisContext(graph), sizes, "random_walk", seed=seed
+    )
+
+
 @register_pipeline("engine.bfs_ball")
 def _pipeline_engine_bfs_ball(seed: int) -> object:
     from repro.engine import AnalysisContext, sample_matched_sets

@@ -441,9 +441,9 @@ class RngAcrossProcessBoundary(Rule):
     random sequence depends on scheduling and is unreplayable from the
     seed.  Under ``fork`` the hazard inverts — every worker inherits the
     *same* state and draws identical "random" values.  Ship integer child
-    seeds instead (:func:`repro.sampling.seeds.spawn_child_seeds`, built on
-    ``numpy.random.SeedSequence.spawn``) and rebuild the RNG inside the
-    worker.
+    seeds instead (:func:`repro.sampling.seeds.spawn_child_seeds`, the
+    children of ``numpy.random.SeedSequence.spawn``) and rebuild the RNG
+    inside the worker.
     """
 
     id = "REP105"

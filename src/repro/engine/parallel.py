@@ -31,8 +31,8 @@ returns with its id arrays (``sampler.walk_steps``/``walk_restarts``).
 
 from __future__ import annotations
 
+import operator
 import os
-import random
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
@@ -335,25 +335,21 @@ def _score_shard(
 
 
 def _sample_chunk(
-    tasks: list[tuple[str, int, int | None]],
+    sampler: str,
+    sizes: list[int],
+    child_seeds: list[int | None],
 ) -> tuple[list[np.ndarray], int, int]:
-    """Draw one chunk of matched sets; each task owns a child seed.
+    """Draw one chunk of matched sets; replicate ``i`` owns a child seed.
 
     Returns the id arrays plus the chunk's random-walk step and restart
     totals: worker metrics are off, so the parent counts them.
     """
-    from repro.engine.samplers import SAMPLER_IDS, _random_walk_ids
+    from repro.engine.samplers import _draw_ids
 
-    context = _worker_context()
     tally = [0, 0]
-    results: list[np.ndarray] = []
-    for sampler, size, child_seed in tasks:
-        rng = random.Random(child_seed)
-        if sampler == "random_walk":
-            ids = _random_walk_ids(context, size, rng, tally=tally)
-        else:
-            ids = SAMPLER_IDS[sampler](context, size, rng)
-        results.append(ids)
+    results = _draw_ids(
+        _worker_context(), sampler, sizes, child_seeds, tally=tally
+    )
     return results, tally[0], tally[1]
 
 
@@ -485,17 +481,22 @@ class ParallelExecutor:
         step and restart counts the chunks return are added to this
         process's metrics, so they read as in the serial run.
         """
-        tasks = [
-            (sampler, int(size), child_seeds[i])
-            for i, size in enumerate(sizes)
-        ]
-        chunks = shard_ranges(len(tasks), self.jobs * _SHARDS_PER_JOB)
+        sizes = [operator.index(size) for size in sizes]
+        # A chunk's random walks run in lockstep, sharing each step's
+        # fixed cost, so they go in one chunk per worker (DESIGN.md §8).
+        per_job = 1 if sampler == "random_walk" else _SHARDS_PER_JOB
+        chunks = shard_ranges(len(sizes), self.jobs * per_job)
         if not chunks:
             return []
         pool = self._ensure_pool()
         instruments.PARALLEL_SHARDS.inc(len(chunks), label="sample")
         futures = [
-            pool.submit(_sample_chunk, [tasks[i] for i in chunk])
+            pool.submit(
+                _sample_chunk,
+                sampler,
+                sizes[chunk.start : chunk.stop],
+                list(child_seeds[chunk.start : chunk.stop]),
+            )
             for chunk in chunks
         ]
         results: list[np.ndarray] = []

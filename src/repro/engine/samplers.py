@@ -16,25 +16,46 @@ ordering candidate ids by
 :func:`~repro.graph.convert.stable_sorted` order of their labels) makes
 every draw pick the same vertex.  Same seed, same sample, whichever
 substrate runs it; ``tests/engine/test_engine_samplers.py`` pins this,
-on scrambled in-memory graphs and on opened stores.
+on scrambled in-memory graphs and on opened stores.  The Fig. 5 batch
+kernel below replays the same ``random.Random`` streams from words drawn
+ahead, so every id array, every step and restart count and every error
+is the per-walk loop's; ``tests/engine/test_lockstep_walks.py`` pins
+that against the loop and the label-level oracle.
 
 **The walk step.**  A Fig. 5 run makes one walk per circle, so the step
-is the hot loop.  It makes a fixed handful of numpy calls on plain
-arrays, whatever the row length: the row bounds are Python ints read
-through a ``memoryview`` of ``indptr``, the row is a slice of a plain
-``ndarray`` view of ``indices`` (so no ``np.memmap.__getitem__`` runs per
-step), and the fresh neighbours are ``row[free[row]]`` over a per-draw
-mask of the vertices not yet collected.  Members are collected in a list
-and sorted once at the end.  Candidates are sorted by label rank only
-when :attr:`~repro.engine.context.AnalysisContext.ids_in_label_order` is
+is the hot loop, and it runs in one of two forms.
+
+* *Lockstep* (:class:`_LockstepWalks`), for a batch of at least
+  :data:`LOCKSTEP_CROSSOVER` walks, the serial Fig. 5 path and each
+  ``--jobs`` chunk: every active walk advances one step per round, with
+  one set of numpy calls per round.  A walk's ``random.Random(child)``
+  stream is drawn ahead as little-endian 32-bit words
+  (``getrandbits(32 * k)``), and ``Random._randbelow(bound)`` is
+  replayed on them: the top ``bound.bit_length()`` bits of the next
+  word, until one falls below the bound.  The rows of the walks'
+  current vertices are gathered into one array, and who has collected a
+  vertex is one narrow owner tag per vertex plus a sorted key table for
+  the vertices several walks hold, the gather kernel's membership test
+  made incremental.  Working memory is O(n) bytes plus O(sum of sizes)
+  for the words and the collected ids, never walks times n.
+* *Per walk* (:func:`_random_walk_ids`): a fixed handful of numpy calls
+  per step on plain arrays, whatever the row length.  The row bounds are
+  Python ints read through a ``memoryview`` of ``indptr``, the row is a
+  slice of a plain ``ndarray`` view of ``indices`` (so no
+  ``np.memmap.__getitem__`` runs per step), and the fresh neighbours are
+  ``row[free[row]]`` over a per-draw mask of the vertices not yet
+  collected.  Members are collected in a list and sorted once at the
+  end.  It runs :func:`random_walk_set`, batches below the crossover
+  and the hand-off: once fewer than :data:`LOCKSTEP_CROSSOVER` walks are
+  active, and for any walk that spends its drawn words, the loop
+  carries each unfinished walk on from its state, with its generator
+  advanced past the words the rounds used, in replicate order.
+
+In both, candidates are sorted by label rank only when
+:attr:`~repro.engine.context.AnalysisContext.ids_in_label_order` is
 false, which is decided once per context: identity-labelled stores, and
-the parallel workers rebuilt from them, never sort.  There is no
-per-entry Python loop (a list comprehension over a ``memoryview`` row,
-with a ``set`` of collected ids).  In three runs on one 2-vCPU host it
-took 0.8–1.2× as long as this step on the 14-entry rows of the
-fig5-store benchmark, but 3.7–4.3× as long on the in-memory
-``build_google_plus`` graph, whose mean row of 68 entries is closer to
-the long rows of the real Google+ crawl.
+the parallel workers rebuilt from them, never sort.  DESIGN.md section 8
+has the measurements behind the crossover.
 
 **Replicate independence.**  :func:`sample_matched_ids` derives one
 child seed per replicate (:func:`repro.sampling.seeds.spawn_child_seeds`)
@@ -46,6 +67,7 @@ serial output.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import deque
 from collections.abc import Hashable, Sequence
@@ -76,6 +98,23 @@ __all__ = [
 
 #: Chance that forest fire burns each fresh neighbour it reaches.
 BURN_PROBABILITY = 0.7
+
+#: Active walks below which a lockstep step costs more than running the
+#: rest one by one; DESIGN.md section 8 has the measurement.
+LOCKSTEP_CROSSOVER = 64
+
+#: Words drawn ahead for a walk: this many per member, plus the slack.
+#: A walk that spends them all is handed to the per-walk loop.
+_WORDS_PER_MEMBER = 2
+_WORD_SLACK = 16
+
+#: Words a lockstep draw examines at once after a rejected word.
+_LOOKAHEAD = 8
+_LOOKAHEAD_RANGE = np.arange(_LOOKAHEAD)
+
+#: Most row entries one lockstep step gathers at once (a single row may
+#: exceed it); bounds a step's temporaries independently of the batch.
+_STEP_ENTRIES = 1 << 16
 
 
 def _resolve_rng(seed: int | random.Random | None) -> random.Random:
@@ -116,6 +155,33 @@ def _random_walk_ids(
     parallel workers, whose metrics are off, return theirs to the parent).
     """
     n = _check_size(context, size)
+    current = rng.choice(range(n))
+    return _walk_on(
+        context,
+        size,
+        rng,
+        [current],
+        current,
+        max_steps_factor=max_steps_factor,
+        tally=tally,
+    )
+
+
+def _walk_on(
+    context: AnalysisContext,
+    size: int,
+    rng: random.Random,
+    members: list[int],
+    current: int,
+    *,
+    steps: int = 0,
+    restarts: int = 0,
+    max_steps_factor: int = 200,
+    tally: list[int] | None = None,
+) -> np.ndarray:
+    """The per-walk loop from a walk's state: collected ``members``, the
+    ``current`` vertex and the steps and restarts taken so far."""
+    n = context.num_vertices
     # Python-int row bounds and a plain ndarray of targets: no numpy
     # scalar boxing and no np.memmap.__getitem__ on the per-step path.
     bounds = memoryview(context.csr.indptr)
@@ -124,11 +190,7 @@ def _random_walk_ids(
     choice = rng.choice
     population = range(n)
     free = np.ones(n, dtype=bool)
-    current = choice(population)
-    free[current] = False
-    members = [current]
-    steps = 0
-    restarts = 0
+    free[members] = False
     budget = max_steps_factor * size
     while len(members) < size:
         steps += 1
@@ -152,14 +214,352 @@ def _random_walk_ids(
         current = int(choice(fresh))
         free[current] = False
         members.append(current)
+    _count_walks(steps, restarts, tally)
+    members.sort()
+    return np.array(members, dtype=np.int64)
+
+
+def _count_walks(steps: int, restarts: int, tally: list[int] | None) -> None:
+    """Record walk steps and restarts in the metrics, or in ``tally``."""
     if tally is None:
         instruments.WALK_STEPS.inc(steps)
         instruments.WALK_RESTARTS.inc(restarts)
     else:
         tally[0] += steps
         tally[1] += restarts
-    members.sort()
-    return np.array(members, dtype=np.int64)
+
+
+class _LockstepWalks:
+    """A batch of random walks advanced together, one step per round.
+
+    Walk ``s`` replays ``random.Random(child_seeds[s])``: its stream is
+    drawn ahead as 32-bit words and :meth:`_draw` replays
+    ``Random._randbelow`` on them, so each walk makes the draws the
+    per-walk loop makes.  A walk collects into its own segment of one
+    flat ``members`` array.  Walk ``s`` is tagged ``s + 1``, and who
+    holds a vertex is one narrow owner tag per vertex (the holder's tag,
+    ``0`` for none, ``-1`` for several) plus a sorted ``tag * n +
+    vertex`` key table for the vertices several walks hold.  Working
+    memory is O(n + sum of sizes).
+    """
+
+    def __init__(
+        self,
+        context: AnalysisContext,
+        sizes: np.ndarray,
+        child_seeds: Sequence[int | None],
+    ) -> None:
+        self.context = context
+        self.n = context.num_vertices
+        self.indptr = context.csr.indptr.view(np.ndarray)
+        self.indices = context.csr.indices.view(np.ndarray)
+        self.rank = None if context.ids_in_label_order else context.label_rank
+        self.sizes = sizes
+        self.child_seeds = child_seeds
+        walks = len(sizes)
+        budget = sizes * _WORDS_PER_MEMBER + _WORD_SLACK
+        self.word_end = budget.cumsum()
+        self.word_start = self.word_end - budget
+        self.word_at = self.word_start.copy()
+        # getrandbits(32 * k) is the stream's next k words, first word
+        # least significant, so its little-endian bytes are the words in
+        # draw order.  Reseeding one generator gives random.Random(child)'s
+        # stream.  Zero words pad the last walk's lookahead.
+        rng = random.Random(0)
+        streams = []
+        for child, k in zip(child_seeds, budget.tolist()):
+            rng.seed(child)
+            streams.append(rng.getrandbits(32 * k).to_bytes(4 * k, "little"))
+        streams.append(bytes(4 * _LOOKAHEAD))
+        self.words = np.frombuffer(b"".join(streams), dtype="<u4")
+        del streams
+        self.member_end = sizes.cumsum()
+        self.member_start = self.member_end - sizes
+        self.members = np.empty(int(self.member_end[-1]), dtype=np.int64)
+        self.count = np.zeros(walks, dtype=np.int64)
+        self.current = np.zeros(walks, dtype=np.int64)
+        self.steps = np.zeros(walks, dtype=np.int64)
+        self.restarts = np.zeros(walks, dtype=np.int64)
+        # The smallest type holding -1 - walks is signed and holds walks.
+        tag_type = np.min_scalar_type(-1 - walks)
+        self.tags = np.arange(1, walks + 1).astype(tag_type)
+        self.owner = np.zeros(self.n, dtype=tag_type)
+        # A trailing int64-max sentinel keeps every search in range.
+        self.shared_keys = np.array([np.iinfo(np.int64).max])
+
+    def run(self, crossover: int) -> np.ndarray:
+        """Walk until fewer than ``crossover`` walks are active.
+
+        Returns the walks left unfinished, for :meth:`resume`: those
+        still active at the end and those that spent their words.
+        """
+        walks = np.arange(len(self.sizes))
+        start = self._draw(walks, np.full(walks.size, self.n))
+        moved = start >= 0
+        self.current[moved] = start[moved]
+        self._collect(walks[moved], start[moved])
+        active = walks[moved & (self.count < self.sizes)]
+        handed = [walks[~moved]]
+        while active.size >= crossover:
+            active, spent = self._step(active)
+            handed.append(spent)
+        handed.append(active)
+        return np.concatenate(handed)
+
+    def ids(self, walk: int) -> np.ndarray:
+        """The finished walk's collected ids, ascending."""
+        start, stop = self.member_start[walk], self.member_end[walk]
+        return np.sort(self.members[start:stop])
+
+    def resume(self, walk: int, tally: list[int]) -> np.ndarray:
+        """Finish an unfinished walk in the per-walk loop.
+
+        The walk's generator skips the words the lockstep rounds used,
+        all of them whole 32-bit words, and the loop carries on from the
+        walk's members, current vertex, steps and restarts.  A walk that
+        spent its words mid-draw resumes before that draw: its rejected
+        words were used, so the loop's redraw continues the rejections.
+        """
+        rng = random.Random(self.child_seeds[walk])
+        rng.getrandbits(32 * int(self.word_at[walk] - self.word_start[walk]))
+        size = int(self.sizes[walk])
+        if not self.count[walk]:  # words spent on the first draw
+            return _random_walk_ids(self.context, size, rng, tally=tally)
+        start = self.member_start[walk]
+        return _walk_on(
+            self.context,
+            size,
+            rng,
+            self.members[start : start + self.count[walk]].tolist(),
+            int(self.current[walk]),
+            steps=int(self.steps[walk]),
+            restarts=int(self.restarts[walk]),
+            tally=tally,
+        )
+
+    def _step(self, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One step of every active walk (ascending): the loop's body.
+
+        The walks' rows are gathered in runs of at most
+        :data:`_STEP_ENTRIES` entries (a single longer row is one run),
+        so a step's temporaries do not grow with walks times degree.
+        Returns the walks still collecting and those out of words.
+        """
+        start = self.indptr[self.current[active]]
+        degree = self.indptr[self.current[active] + 1] - start
+        ends = degree.cumsum()
+        going, spent = [], []
+        lo = 0
+        while lo < active.size:
+            base = ends[lo] - degree[lo]
+            hi = int(ends.searchsorted(base + _STEP_ENTRIES, "right"))
+            hi = max(hi, lo + 1)
+            run_going, run_spent = self._advance(
+                active[lo:hi], start[lo:hi], degree[lo:hi]
+            )
+            going.append(run_going)
+            spent.append(run_spent)
+            lo = hi
+        return np.concatenate(going), np.concatenate(spent)
+
+    def _advance(
+        self, walks: np.ndarray, start: np.ndarray, degree: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One step of ``walks``, whose current rows are given.
+
+        A walk out of words keeps its state from before the step.
+        """
+        ends = degree.cumsum()
+        firsts = ends - degree
+        entries = self.indices[
+            np.arange(ends[-1]) + (start - firsts).repeat(degree)
+        ]
+        tags = self.tags[walks]
+        entry_tags = tags.repeat(degree)
+        unheld = ~self._holds(entry_tags, entries)
+        # Only non-empty rows start a reduceat segment.
+        nonempty = degree.nonzero()[0]
+        count = np.zeros(walks.size, dtype=np.int64)
+        if nonempty.size:
+            count[nonempty] = np.add.reduceat(
+                unheld, firsts[nonempty], dtype=np.int64
+            )
+        # No fresh neighbour: the draw is a restart over all n vertices.
+        drawn = self._draw(walks, np.where(count > 0, count, self.n))
+        moved = drawn >= 0
+        walked = (moved & (count > 0)).nonzero()[0]
+        # The walk moves to its fresh neighbour number ``drawn``, counted
+        # in row order, or in label-rank order when ids are not in it.
+        fresh = unheld.nonzero()[0]
+        pick = (count.cumsum() - count)[walked] + drawn[walked]
+        if self.rank is None:
+            target = entries[fresh[pick]]
+        else:
+            # Sorted (tag, rank) keys give each walk's chosen key (a sort
+            # is cheaper than an argsort); the entry holding it is the
+            # target, one per walk and in walk order.
+            keys = self._keys(entry_tags[fresh], self.rank[entries[fresh]])
+            chosen = np.full(walks.size, -1, dtype=np.int64)
+            chosen[walked] = np.sort(keys)[pick]
+            target = entries[fresh[keys == chosen.repeat(count)]]
+        self.current[walks[walked]] = target
+        self.steps[walks[moved]] += 1
+        collectors, collected = walks[walked], target
+        restarted = (moved & (count == 0)).nonzero()[0]
+        if restarted.size:
+            jump = drawn[restarted]
+            new = ~self._holds(tags[restarted], jump)
+            self.current[walks[restarted]] = jump
+            self.restarts[walks[restarted]] += 1
+            collectors = np.concatenate((collectors, walks[restarted][new]))
+            collected = np.concatenate((collected, jump[new]))
+        self._collect(collectors, collected)
+        going = moved & (self.count[walks] < self.sizes[walks])
+        return walks[going], walks[~moved]
+
+    def _draw(self, walks: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """Replay ``Random._randbelow(bound)`` on each walk's words.
+
+        ``_randbelow`` takes ``getrandbits(k)``, the top ``k =
+        bound.bit_length()`` bits of the next word, until one falls below
+        the bound.  A walk whose next word is rejected reads the
+        :data:`_LOOKAHEAD` words after it at once.  A walk out of words
+        draws ``-1``.
+        """
+        shift = 32 - np.frexp(bounds)[1]
+        at = self.word_at[walks]
+        end = self.word_end[walks]
+        drawn = self.words[at] >> shift
+        drawn[at >= end] = -1
+        missed = (drawn >= bounds).nonzero()[0]
+        at += 1
+        while missed.size:
+            index = at[missed, None] + _LOOKAHEAD_RANGE
+            values = self.words[index] >> shift[missed, None]
+            ok = (values < bounds[missed, None]) & (index < end[missed, None])
+            flat = np.arange(missed.size) * _LOOKAHEAD + ok.argmax(axis=1)
+            hit = ok.ravel()[flat]
+            done = missed[hit]
+            drawn[done] = values.ravel()[flat[hit]]
+            at[done] = index.ravel()[flat[hit]] + 1
+            missed = missed[~hit]
+            at[missed] += _LOOKAHEAD
+            spent = at[missed] >= end[missed]
+            drawn[missed[spent]] = -1
+            missed = missed[~spent]
+        # A walk out of words has used them all.
+        self.word_at[walks] = np.minimum(at, end)
+        return drawn
+
+    def _keys(self, tags: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+        return tags.astype(np.int64) * np.int64(self.n) + vertices
+
+    def _holds(self, tags: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+        """Whether the walk tagged ``tags[i]`` holds ``vertices[i]``."""
+        owner = self.owner[vertices]
+        held = owner == tags
+        shared = (owner < 0).nonzero()[0]
+        if shared.size:
+            keys = self._keys(tags[shared], vertices[shared])
+            table = self.shared_keys
+            held[shared] = table[table.searchsorted(keys)] == keys
+        return held
+
+    def _collect(self, walks: np.ndarray, vertices: np.ndarray) -> None:
+        """Walk ``walks[i]`` collects ``vertices[i]`` (walks unique)."""
+        tags = self.tags[walks]
+        before = self.owner[vertices]
+        self.owner[vertices] = tags
+        # A vertex written by several walks keeps one tag, so another
+        # writer reads back a foreign one; as in the gather kernel's owner
+        # table, that marks the vertex shared (-1).
+        clash = (before != 0) | (self.owner[vertices] != tags)
+        if clash.any():
+            self.owner[vertices[clash]] = -1
+            shared = self.owner[vertices] < 0
+            single = before > 0
+            # Every holder of a shared vertex has a key, the one that held
+            # it alone before included (twice if two walks joined it at
+            # once: a repeated key is harmless).  The stable sort merges
+            # the few new keys into the sorted run in linear time.
+            table = np.concatenate(
+                (
+                    self.shared_keys,
+                    self._keys(tags[shared], vertices[shared]),
+                    self._keys(before[single], vertices[single]),
+                )
+            )
+            table.sort(kind="stable")
+            self.shared_keys = table
+        self.members[self.member_start[walks] + self.count[walks]] = vertices
+        self.count[walks] += 1
+
+
+def _random_walk_batch(
+    context: AnalysisContext,
+    sizes: Sequence[int],
+    child_seeds: Sequence[int | None],
+    *,
+    tally: list[int] | None = None,
+) -> list[np.ndarray]:
+    """Random-walk id arrays, walk ``i`` seeded ``child_seeds[i]``.
+
+    Each array equals ``_random_walk_ids(context, sizes[i],
+    random.Random(child_seeds[i]))``.  With at least
+    :data:`LOCKSTEP_CROSSOVER` valid sizes the walks run in lockstep
+    (:class:`_LockstepWalks`) until fewer remain.  Then, in replicate
+    order, the per-walk loop finishes every walk left unfinished and runs
+    every walk with an invalid size, so the first failing replicate
+    raises as it would in a loop.  Steps and restarts are counted for the
+    replicates before it.
+    """
+    n = context.num_vertices
+    ids: list[np.ndarray | None] = [None] * len(sizes)
+    steps = np.zeros(len(sizes), dtype=np.int64)
+    restarts = np.zeros(len(sizes), dtype=np.int64)
+    lanes = [i for i, size in enumerate(sizes) if 0 < size <= n]
+    unfinished: dict[int, int] = {}
+    # A bound past 32 bits takes two words per getrandbits call.
+    if len(lanes) >= LOCKSTEP_CROSSOVER and n < 1 << 32:
+        walks = _LockstepWalks(
+            context,
+            np.array([sizes[i] for i in lanes], dtype=np.int64),
+            [child_seeds[i] for i in lanes],
+        )
+        finished = np.ones(len(lanes), dtype=bool)
+        for walk in walks.run(LOCKSTEP_CROSSOVER).tolist():
+            finished[walk] = False
+            unfinished[lanes[walk]] = walk
+        for walk in finished.nonzero()[0].tolist():
+            ids[lanes[walk]] = walks.ids(walk)
+        steps[lanes] = walks.steps
+        restarts[lanes] = walks.restarts
+    counted = len(sizes)
+    try:
+        for counted, done in enumerate(ids):
+            if done is not None:
+                continue
+            own = [0, 0]
+            if counted in unfinished:
+                ids[counted] = walks.resume(unfinished[counted], own)
+            else:
+                ids[counted] = _random_walk_ids(
+                    context,
+                    sizes[counted],
+                    random.Random(child_seeds[counted]),
+                    tally=own,
+                )
+            steps[counted], restarts[counted] = own
+        counted = len(sizes)
+    finally:
+        # On failure ``counted`` is the failing replicate.
+        if counted:
+            _count_walks(
+                int(steps[:counted].sum()),
+                int(restarts[:counted].sum()),
+                tally,
+            )
+    return ids  # type: ignore[return-value]
 
 
 def _grown_ids(
@@ -314,6 +714,29 @@ SAMPLER_IDS = {
 }
 
 
+def _draw_ids(
+    context: AnalysisContext,
+    sampler: str,
+    sizes: Sequence[int],
+    child_seeds: Sequence[int | None],
+    *,
+    tally: list[int] | None = None,
+) -> list[np.ndarray]:
+    """Replicate ``i``: ``sizes[i]`` ids drawn with seed ``child_seeds[i]``.
+
+    The serial path and each ``--jobs`` sampling chunk run this.
+    Random walks go through :func:`_random_walk_batch`, which counts
+    their steps and restarts in ``tally`` when one is given.
+    """
+    if sampler == "random_walk":
+        return _random_walk_batch(context, sizes, child_seeds, tally=tally)
+    function = SAMPLER_IDS[sampler]
+    return [
+        function(context, size, random.Random(child))
+        for size, child in zip(sizes, child_seeds)
+    ]
+
+
 def sample_matched_ids(
     context: AnalysisContext,
     sizes: Sequence[int],
@@ -334,7 +757,8 @@ def sample_matched_ids(
     served from ``cache``.
     """
     context = AnalysisContext.ensure(context)
-    sizes = [int(size) for size in sizes]
+    # operator.index: a float size is a TypeError, not a truncation.
+    sizes = [operator.index(size) for size in sizes]
     if sampler not in SAMPLER_IDS:
         known = ", ".join(sorted(SAMPLER_IDS))
         raise KeyError(f"unknown sampler {sampler!r}; known: {known}")
@@ -401,11 +825,7 @@ def _matched_ids(
         if executor is not None and executor.active:
             id_lists = executor.sample_ids(sampler, sizes, child_seeds)
         else:
-            function = SAMPLER_IDS[sampler]
-            id_lists = [
-                function(context, size, random.Random(child))
-                for size, child in zip(sizes, child_seeds)
-            ]
+            id_lists = _draw_ids(context, sampler, sizes, child_seeds)
     finally:
         if own_executor and executor is not None:
             executor.close()

@@ -160,6 +160,7 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
         raise HttpError(400, "malformed request line") from None
     if not version.startswith("HTTP/1."):
         raise HttpError(400, f"unsupported protocol {version!r}")
+    method = method.upper()
 
     headers: dict[str, str] = {}
     while True:
@@ -177,12 +178,15 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
     if "transfer-encoding" in headers:
         raise HttpError(501, "chunked transfer encoding is not supported")
     if "content-length" in headers:
-        try:
-            length = int(headers["content-length"])
-        except ValueError:
-            raise HttpError(400, "malformed Content-Length") from None
-        if length < 0:
+        # RFC 9110 ``1*DIGIT``: int() alone would take "+10" and "1_0".
+        digits = headers["content-length"]
+        if not (digits.isascii() and digits.isdigit()):
             raise HttpError(400, "malformed Content-Length")
+        # A number longer than the cap is over it; int() would refuse
+        # one of more than 4300 digits.
+        digits = digits.lstrip("0") or "0"
+        too_long = len(digits) > len(str(MAX_BODY_BYTES))
+        length = MAX_BODY_BYTES + 1 if too_long else int(digits)
         if length > MAX_BODY_BYTES:
             raise HttpError(413, "request body too large")
         if length:
@@ -193,10 +197,13 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
     elif method in ("POST", "PUT"):
         raise HttpError(411, "Content-Length required")
 
-    parts = urlsplit(target)
+    try:
+        parts = urlsplit(target)
+    except ValueError:  # e.g. an unclosed IPv6 bracket: "//["
+        raise HttpError(400, "malformed request target") from None
     path = unquote(parts.path) or "/"
     return Request(
-        method=method.upper(),
+        method=method,
         target=target,
         path=path,
         query=parse_query(parts.query),

@@ -28,6 +28,7 @@ for name in (
     "sampling.bfs_ball",
     "sampling.forest_fire",
     "engine.random_walk",
+    "engine.random_walk_batch",
     "engine.bfs_ball",
     "engine.uniform",
     "nullmodel.viger_latapy",

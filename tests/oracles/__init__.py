@@ -13,7 +13,9 @@ suites can still check production against them byte for byte:
 * :mod:`oracles.random_walk` and :mod:`oracles.random_sets` — the
   label-level random-walk, uniform, BFS-ball and forest-fire samplers
   over a mutable :class:`~repro.graph.ugraph.Graph` or
-  :class:`~repro.graph.digraph.DiGraph`.
+  :class:`~repro.graph.digraph.DiGraph`;
+* :mod:`oracles.seeds` — their child seeds, from numpy's own
+  ``SeedSequence`` spawn rather than production's port of it.
 
 Nothing in ``src/`` imports them.  Under pytest ``tests/`` is on
 ``sys.path``, so a test imports them as ``from oracles.stats import

@@ -161,8 +161,8 @@ def sample_matched_sets(
 
     ``sampler`` is a key of :data:`SAMPLERS` or ``"random_walk"``.  Each
     replicate owns an independent child stream of ``seed``
-    (:func:`repro.sampling.seeds.spawn_child_seeds`), matching the
-    engine's serial and parallel matched-set draws seed-for-seed.
+    (:func:`oracles.seeds.child_seeds`), matching the engine's serial and
+    parallel matched-set draws seed-for-seed.
     """
     if sampler == "random_walk":
         from oracles.random_walk import matched_random_sets
@@ -173,10 +173,9 @@ def sample_matched_sets(
     except KeyError:
         known = ", ".join(sorted(SAMPLERS) + ["random_walk"])
         raise KeyError(f"unknown sampler {sampler!r}; known: {known}") from None
-    from repro.sampling.seeds import spawn_child_seeds
+    from oracles.seeds import child_seeds
 
-    child_seeds = spawn_child_seeds(seed, len(sizes))
     return [
         function(graph, size, seed=child)
-        for size, child in zip(sizes, child_seeds)
+        for size, child in zip(sizes, child_seeds(seed, len(sizes)))
     ]

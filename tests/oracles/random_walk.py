@@ -98,15 +98,15 @@ def matched_random_sets(
 
     This is the baseline of the paper's Fig. 5: for every circle, a random
     set of exactly the circle's size.  Each replicate owns an independent
-    child stream of ``seed`` (:func:`repro.sampling.seeds.spawn_child_seeds`),
-    so the CSR-native and parallel paths replay these draws exactly.
+    child stream of ``seed`` (:func:`oracles.seeds.child_seeds`, numpy's
+    own ``SeedSequence`` spawn), so the CSR-native and parallel paths
+    replay these draws exactly.
     """
-    from repro.sampling.seeds import spawn_child_seeds
+    from oracles.seeds import child_seeds
 
-    child_seeds = spawn_child_seeds(seed, len(sizes))
     return [
         random_walk_set(
             graph, size, seed=child, max_steps_factor=max_steps_factor
         )
-        for size, child in zip(sizes, child_seeds)
+        for size, child in zip(sizes, child_seeds(seed, len(sizes)))
     ]

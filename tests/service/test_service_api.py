@@ -157,6 +157,17 @@ class TestErrorMapping:
         status, _, _ = service_runner(scenario)
         assert status == 404
 
+    def test_malformed_target_400(self, service_runner):
+        """An unparseable target is answered, not a dropped connection."""
+
+        async def scenario(service, client):
+            return await client.raw(b"GET //[ HTTP/1.1\r\nHost: x\r\n\r\n")
+
+        status, headers, body = service_runner(scenario)
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert b"malformed request target" in body
+
     def test_wrong_method_405(self, service_runner):
         async def scenario(service, client):
             return await client.request(
