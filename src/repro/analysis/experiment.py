@@ -15,19 +15,20 @@ from repro import obs
 from repro.analysis.cdf import EmpiricalCDF
 from repro.data.datasets import Dataset
 from repro.data.groups import GroupSet
-from repro.engine import (
-    AnalysisContext,
-    GroupIds,
-    ParallelExecutor,
-    ResultCache,
-    resolve_jobs,
-    sample_matched_ids,
-)
+from repro.engine import AnalysisContext, GroupIds, ResultCache
+from repro.engine.parallel import warm_executor
+from repro.engine.samplers import MatchedDraw
 from repro.obs import capture_manifest, instruments
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
 from repro.scoring.base import ScoringFunction
-from repro.scoring.registry import ScoreTable, make_paper_functions, score_groups
+from repro.scoring.registry import (
+    ScoreTable,
+    make_paper_functions,
+    score_groups,
+    scored_table,
+    scoring_options,
+)
 
 __all__ = ["CirclesVsRandomResult", "circles_vs_random"]
 
@@ -101,10 +102,13 @@ def circles_vs_random(
     share that one substrate.  Pass ``context`` to reuse an existing
     freeze of the same graph.
 
-    ``jobs > 1`` runs circle scoring, matched sampling and random-set
-    scoring on one shared worker pool over the frozen context (results
-    stay byte-identical to serial); ``cache`` serves repeated runs from
-    disk (see :class:`~repro.engine.ResultCache`).
+    The random sets are scored by the pass that draws them
+    (:class:`~repro.engine.samplers.MatchedDraw`).  ``jobs > 1`` runs the
+    circle shards and the sampling chunks, each worker scoring the sets
+    it drew, in one round trip to the process's warm worker pool over
+    the frozen context (:func:`~repro.engine.parallel.warm_executor`),
+    and results stay byte-identical to serial; ``cache`` serves repeated
+    runs from disk (see :class:`~repro.engine.ResultCache`).
     """
     if isinstance(source, Dataset):
         graph, groups = source.graph, source.groups
@@ -127,39 +131,37 @@ def circles_vs_random(
         )
         circles = circles.select(circles.sizes >= min_group_size)
 
-        # One executor spans all three phases, so pool startup and the
-        # shared-memory CSR export are paid once per run, not per batch.
-        effective_jobs = resolve_jobs(jobs)
-        executor = (
-            ParallelExecutor(context, effective_jobs)
-            if effective_jobs > 1
-            else None
+        # The random sets are drawn and scored in one pass.  At --jobs,
+        # each worker scores the chunk it drew, and the chunks go to the
+        # pool ahead of the circle shards: one round trip serves both.
+        executor = warm_executor(context, jobs)
+        draw = MatchedDraw(
+            context,
+            circles.sizes.tolist(),
+            sampler,
+            seed=seed,
+            cache=cache,
+            executor=executor,
+            functions=functions,
+            **scoring_options(context, functions),
         )
-        try:
-            circle_scores = score_groups(
-                context, circles, functions, cache=cache, executor=executor
-            )
-            random_ids = sample_matched_ids(
-                context,
-                circle_scores.group_sizes,
-                sampler,
-                seed=seed,
-                cache=cache,
-                executor=executor,
-            )
-            # The sampler's arrays are already canonical: scored as they
-            # come, with no label sets in between.
-            randoms = GroupIds.from_arrays(
-                random_ids,
-                n=context.num_vertices,
-                names=[f"random-{i}" for i in range(len(random_ids))],
-            )
+        circle_scores = score_groups(
+            context, circles, functions, cache=cache, executor=executor
+        )
+        drawn, matrix = draw.result()
+        randoms = GroupIds(
+            tuple(f"random-{i}" for i in range(len(drawn))),
+            drawn.offsets,
+            drawn.ids,
+        )
+        if matrix is None:
             random_scores = score_groups(
                 context, randoms, functions, cache=cache, executor=executor
             )
-        finally:
-            if executor is not None:
-                executor.close()
+        else:
+            random_scores = scored_table(
+                context, randoms, functions, matrix, cache=cache
+            )
         if obs.enabled():
             instruments.EXPERIMENT_RUNS.inc(label="circles_vs_random")
             obs.record_manifest(

@@ -96,7 +96,8 @@ class AnalysisContext:
         Directed out/in orientations; ``None`` for undirected graphs.
     """
 
-    __slots__ = (
+    #: The snapshot's fields, which an adopting copy shares.
+    _FIELDS = (
         "graph",
         "csr",
         "csr_out",
@@ -112,11 +113,15 @@ class AnalysisContext:
         "_ids_in_label_order",
         "_fingerprint",
     )
+    # Weakly referenceable: the warm worker pool
+    # (repro.engine.parallel.warm_executor) closes when its context goes.
+    __slots__ = _FIELDS + ("__weakref__",)
 
     def __init__(self, graph: "Graph | DiGraph | AnalysisContext") -> None:
         if isinstance(graph, AnalysisContext):
             # Already frozen: adopt the snapshot (freeze-once contract).
-            for slot in self.__slots__:
+            # The copy is a new object, with its own warm pool if any.
+            for slot in self._FIELDS:
                 setattr(self, slot, getattr(graph, slot))
             return
         if graph.number_of_nodes() == 0:

@@ -6,33 +6,42 @@ immutable by contract — so parallelism here is a pure fan-out:
 
 * the parent exports the frozen CSR buffers (every orientation, the
   degree array, and ``label_rank`` unless ids already run in label
-  order) into ``multiprocessing.shared_memory`` segments, read through
-  the same :meth:`~repro.engine.context.AnalysisContext.csr_buffers`
-  accessor the manifest fingerprint hashes;
-* each worker attaches the segments zero-copy and rebuilds a trusted
-  context over integer vertex ids
+  order), read through the same
+  :meth:`~repro.engine.context.AnalysisContext.csr_buffers` accessor the
+  manifest fingerprint hashes: RAM-resident arrays are copied into
+  ``multiprocessing.shared_memory`` segments, and the memmaps of an
+  opened store go as file references;
+* each worker attaches them zero-copy and rebuilds a trusted context
+  over integer vertex ids
   (:meth:`~repro.engine.context.AnalysisContext.from_parts`) — node
   labels never cross the process boundary;
 * group batches are canonical :class:`~repro.engine.ids.GroupIds`,
   sharded deterministically (contiguous ranges in group order, each one
   flat ids slice with rebased offsets) and results merge back in shard
   order, so parallel output is **byte-identical** to serial;
-* sampling tasks receive per-replicate child seeds derived with
+* sampling chunks receive per-replicate child seeds derived with
   :func:`repro.sampling.seeds.spawn_child_seeds` — replicate ``i`` sees
   the same stream whichever process runs it (live RNG objects must not
-  cross the boundary; lint rule ``REP105`` enforces this).
+  cross the boundary; lint rule ``REP105`` enforces this) — and return
+  their sets as flat ids with offsets, scored by the worker that drew
+  them when the caller asks (:meth:`ParallelExecutor.draw`).
+
+Drivers that are handed no executor run on the process's one *warm*
+executor (:func:`warm_executor`), which outlives the call, so a process
+that runs several passes on one context starts its pool once.
 
 Workers run with observability disabled: a forked child would otherwise
 inherit the parent's tracer and interleave writes into its trace file.
 The parent records shard fan-out in ``engine.parallel_shards`` instead,
 and adds up the random-walk step and restart totals each sampling chunk
-returns with its id arrays (``sampler.walk_steps``/``walk_restarts``).
+returns with its ids (``sampler.walk_steps``/``walk_restarts``).
 """
 
 from __future__ import annotations
 
 import operator
 import os
+import weakref
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
@@ -46,7 +55,7 @@ from repro.obs import instruments
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle-free)
     import multiprocessing.context
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import Future, ProcessPoolExecutor
     from multiprocessing import shared_memory
 
     from repro.scoring.base import ScoringFunction
@@ -54,7 +63,14 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle-free)
 # multiprocessing, concurrent.futures and shared_memory load when a pool
 # or an export starts: a serial run (``jobs=1``) never needs them.
 
-__all__ = ["ParallelExecutor", "resolve_jobs", "shard_ranges"]
+__all__ = [
+    "ParallelExecutor",
+    "PendingDraw",
+    "close_warm_executor",
+    "resolve_jobs",
+    "shard_ranges",
+    "warm_executor",
+]
 
 #: Shards per worker: finer than one-per-worker so a shard of heavy
 #: groups cannot leave the other workers idle at the tail of a batch.
@@ -65,7 +81,9 @@ def resolve_jobs(jobs: int | None = None) -> int:
     """Resolve a worker count: explicit argument, ``REPRO_JOBS``, else 1.
 
     ``jobs=1`` (the default everywhere) means "serial, in-process" — no
-    pool, no shared memory, no behaviour change.
+    pool, no shared memory, no behaviour change.  A count must be an
+    integer (numpy integers included): a float or a string is a
+    ``TypeError``, not a truncation.
     """
     if jobs is None:
         env = os.environ.get("REPRO_JOBS", "").strip()
@@ -77,7 +95,7 @@ def resolve_jobs(jobs: int | None = None) -> int:
             raise ValueError(
                 f"REPRO_JOBS must be an integer, got {env!r}"
             ) from None
-    jobs = int(jobs)
+    jobs = operator.index(jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return jobs
@@ -338,19 +356,37 @@ def _sample_chunk(
     sampler: str,
     sizes: list[int],
     child_seeds: list[int | None],
-) -> tuple[list[np.ndarray], int, int]:
-    """Draw one chunk of matched sets; replicate ``i`` owns a child seed.
+    functions: Sequence[ScoringFunction] | None,
+    graph_median_degree: float | None,
+    include_internal_adjacency: bool,
+) -> tuple:
+    """Draw one chunk of matched sets and, given ``functions``, score it.
 
-    Returns the id arrays plus the chunk's random-walk step and restart
-    totals: worker metrics are off, so the parent counts them.
+    Replicate ``i`` owns ``child_seeds[i]``.  Returns ``(offsets, ids,
+    block, steps, restarts, error)``: the sets as flat canonical ids,
+    their ``(G, F)`` score block (``None`` without functions), the
+    chunk's random-walk step and restart totals (worker metrics are off,
+    so the parent counts them) and the error that stopped the chunk, if
+    any, in which case the totals are those of its replicates before
+    the failure.
     """
-    from repro.engine.samplers import _draw_ids
+    from repro.engine.samplers import _draw_scored
 
     tally = [0, 0]
-    results = _draw_ids(
-        _worker_context(), sampler, sizes, child_seeds, tally=tally
-    )
-    return results, tally[0], tally[1]
+    try:
+        groups, block = _draw_scored(
+            _worker_context(),
+            sampler,
+            sizes,
+            child_seeds,
+            functions,
+            graph_median_degree=graph_median_degree,
+            include_internal_adjacency=include_internal_adjacency,
+            tally=tally,
+        )
+    except Exception as error:  # repro: noqa[REP006] - the parent raises it after counting the tally
+        return None, None, None, tally[0], tally[1], error
+    return groups.offsets, groups.ids, block, tally[0], tally[1], None
 
 
 # -- the executor ------------------------------------------------------------
@@ -368,6 +404,10 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context()
 
 
+#: The process's warm executor (:func:`warm_executor`), if any.
+_warm: ParallelExecutor | None = None
+
+
 class ParallelExecutor:
     """Worker pool bound to one frozen context's shared-memory export.
 
@@ -376,16 +416,29 @@ class ParallelExecutor:
     pool and segments materialize lazily on first use, so an executor
     created for a run that ends up serial (tiny batch, unsafe functions)
     costs nothing.  Always :meth:`close` (or use as a context manager);
-    otherwise the shared segments outlive the run.
+    otherwise the shared segments outlive the run.  Drivers handed no
+    executor use the warm one instead (:func:`warm_executor`).
     """
 
     def __init__(
         self, context: AnalysisContext, jobs: int | None = None
     ) -> None:
-        self.context = AnalysisContext.ensure(context)
+        context = AnalysisContext.ensure(context)
         self.jobs = resolve_jobs(jobs)
+        # An executor built here keeps its context alive; the warm
+        # executor drops this reference and reaches it weakly.
+        self._owner: AnalysisContext | None = context
+        self._context = weakref.ref(context)
         self._shared: _SharedContext | None = None
         self._pool: ProcessPoolExecutor | None = None
+
+    @property
+    def context(self) -> AnalysisContext:
+        """Return the frozen context the workers compute on."""
+        context = self._context()
+        if context is None:  # pragma: no cover - its finalizer closed us
+            raise ParallelError("the executor's context was collected")
+        return context
 
     @property
     def active(self) -> bool:
@@ -407,6 +460,9 @@ class ParallelExecutor:
             import repro.engine.batch  # noqa: F401
             import repro.engine.samplers  # noqa: F401
 
+            # No fork while another pool's manager thread runs.
+            if _warm is not None and _warm is not self:
+                _warm.close()
             self._shared = _SharedContext(self.context)
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
@@ -467,19 +523,25 @@ class ParallelExecutor:
             blocks.append(shard_matrix)
         return sizes, np.concatenate(blocks, axis=0)
 
-    def sample_ids(
+    def draw(
         self,
         sampler: str,
         sizes: Sequence[int],
         child_seeds: Sequence[int | None],
-    ) -> list[np.ndarray]:
-        """Draw matched sets across the pool; returns vertex-id arrays.
+        functions: Sequence[ScoringFunction] | None = None,
+        *,
+        graph_median_degree: float | None = None,
+        include_internal_adjacency: bool = False,
+    ) -> "PendingDraw":
+        """Submit a matched-set draw to the pool and return at once.
 
         Replicate ``i`` consumes exactly ``child_seeds[i]``, the stream
         the serial loop would hand it, so the draws replay seed-for-seed
-        regardless of which worker runs which chunk.  The random-walk
-        step and restart counts the chunks return are added to this
-        process's metrics, so they read as in the serial run.
+        regardless of which worker runs which chunk.  Given
+        ``functions``, each worker also scores the sets it drew, so they
+        cross the process boundary once, as flat ids beside their score
+        block.  Work submitted after this call queues behind the chunks;
+        :meth:`PendingDraw.result` collects them.
         """
         sizes = [operator.index(size) for size in sizes]
         # A chunk's random walks run in lockstep, sharing each step's
@@ -487,7 +549,7 @@ class ParallelExecutor:
         per_job = 1 if sampler == "random_walk" else _SHARDS_PER_JOB
         chunks = shard_ranges(len(sizes), self.jobs * per_job)
         if not chunks:
-            return []
+            raise ValueError("a parallel draw needs at least one replicate")
         pool = self._ensure_pool()
         instruments.PARALLEL_SHARDS.inc(len(chunks), label="sample")
         futures = [
@@ -496,27 +558,124 @@ class ParallelExecutor:
                 sampler,
                 sizes[chunk.start : chunk.stop],
                 list(child_seeds[chunk.start : chunk.stop]),
+                functions,
+                graph_median_degree,
+                include_internal_adjacency,
             )
             for chunk in chunks
         ]
-        results: list[np.ndarray] = []
-        steps = restarts = 0
-        for chunk_results, chunk_steps, chunk_restarts in self._collect(
-            futures
-        ):
-            results.extend(chunk_results)
-            steps += chunk_steps
-            restarts += chunk_restarts
-        if sampler == "random_walk":
-            instruments.WALK_STEPS.inc(steps)
-            instruments.WALK_RESTARTS.inc(restarts)
-        return results
+        return PendingDraw(self, sampler, futures)
+
+    def sample_ids(
+        self,
+        sampler: str,
+        sizes: Sequence[int],
+        child_seeds: Sequence[int | None],
+    ) -> list[np.ndarray]:
+        """Draw matched sets across the pool; returns vertex-id arrays.
+
+        The arrays are views into one flat array per run (see
+        :meth:`draw`).  The random-walk step and restart counts the
+        chunks return are added to this process's metrics, so they read
+        as in the serial run, a failing batch included.
+        """
+        if not len(sizes):
+            return []
+        groups, _ = self.draw(sampler, sizes, child_seeds).result()
+        return groups.slices()
 
     def close(self) -> None:
         """Shut the pool down and release the shared-memory segments."""
+        global _warm
+        if _warm is self:
+            _warm = None
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
         if self._shared is not None:
             self._shared.close()
             self._shared = None
+
+
+class PendingDraw:
+    """Matched-set draw in flight on a pool (:meth:`ParallelExecutor.draw`)."""
+
+    def __init__(
+        self,
+        executor: ParallelExecutor,
+        sampler: str,
+        futures: list[Future],
+    ) -> None:
+        self._executor = executor
+        self._sampler = sampler
+        self._futures = futures
+
+    def result(self) -> tuple[GroupIds, np.ndarray | None]:
+        """Wait for the chunks; return the sets and their score matrix.
+
+        The sets come as one anonymous :class:`GroupIds` in replicate
+        order, the matrix is ``None`` for an unscored draw.  The walk
+        totals of the chunks before the first failing one, plus that
+        chunk's partial totals, are added to this process's metrics
+        before its error is raised: the serial loop's counts and error.
+        """
+        parts: list[GroupIds] = []
+        blocks: list[np.ndarray | None] = []
+        steps = restarts = 0
+        failure: BaseException | None = None
+        for offsets, ids, block, chunk_steps, chunk_restarts, error in (
+            self._executor._collect(self._futures)
+        ):
+            steps += chunk_steps
+            restarts += chunk_restarts
+            if error is not None:
+                failure = error
+                break
+            parts.append(GroupIds(None, offsets, ids))
+            blocks.append(block)
+        if self._sampler == "random_walk":
+            instruments.WALK_STEPS.inc(steps)
+            instruments.WALK_RESTARTS.inc(restarts)
+        if failure is not None:
+            raise failure
+        matrix = None if blocks[0] is None else np.concatenate(blocks)
+        return GroupIds.concat(parts), matrix
+
+
+# -- the warm executor -------------------------------------------------------
+
+
+def warm_executor(
+    context: AnalysisContext, jobs: int | None = None
+) -> ParallelExecutor | None:
+    """Return the executor a driver runs on when its caller passed none.
+
+    ``None`` when ``jobs`` resolves to 1.  Otherwise the process's one
+    warm executor for ``context`` at ``jobs`` workers, created on first
+    use (its pool on first dispatch) and kept for the next call, so a
+    process that runs several passes on one context starts its pool and
+    exports the context once.  It never keeps its context alive, and it
+    closes when the context is collected, when another context or worker
+    count asks for one, when a worker dies, before any other pool of
+    this package forks, and at interpreter exit.  An explicitly built
+    :class:`ParallelExecutor` keeps its own pool and lifetime.
+    """
+    global _warm
+    jobs = resolve_jobs(jobs)
+    if jobs == 1:
+        return None
+    if _warm is not None and _warm.jobs == jobs and _warm._context() is context:
+        return _warm
+    close_warm_executor()
+    executor = ParallelExecutor(context, jobs)
+    executor._owner = None
+    # Also runs at interpreter exit while the context is alive.
+    weakref.finalize(context, executor.close)
+    _warm = executor
+    return executor
+
+
+def close_warm_executor() -> None:
+    """Shut the warm executor's pool down, if there is one."""
+    if _warm is not None:
+        _warm.close()

@@ -3,10 +3,11 @@
 The paper's random-walk baseline (Fig. 5) and the uniform, BFS-ball and
 forest-fire ablation samplers, on integer vertex ids: the sampler state
 is a boolean mask plus CSR row slices, and node labels appear only at the
-boundary (the label sets).  :func:`sample_matched_ids` hands the Fig. 5
-driver the id arrays themselves.  These are the only production
-samplers; every one runs serially, in the ``--jobs`` workers and from
-the cache.
+boundary (the label sets).  :class:`MatchedDraw` draws the Fig. 5
+random sets as ids and scores them in the same pass, and
+:func:`sample_matched_ids` hands out the id arrays alone.  These are the
+only production samplers; every one runs serially, in the ``--jobs``
+workers and from the cache.
 
 **Replay guarantee.**  Each sampler consumes randomness exactly like the
 label-level implementation it replaced (kept in ``tests/oracles/``) —
@@ -57,7 +58,7 @@ false, which is decided once per context: identity-labelled stores, and
 the parallel workers rebuilt from them, never sort.  DESIGN.md section 8
 has the measurements behind the crossover.
 
-**Replicate independence.**  :func:`sample_matched_ids` derives one
+**Replicate independence.**  :class:`MatchedDraw` derives one
 child seed per replicate (:func:`repro.sampling.seeds.spawn_child_seeds`)
 instead of threading a single RNG through the loop, so replicate ``i``'s
 stream does not depend on replicates ``0..i-1`` — which is what lets the
@@ -71,17 +72,22 @@ import operator
 import random
 from collections import deque
 from collections.abc import Hashable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro import obs
-from repro.engine.cache import ResultCache
+from repro.engine.cache import ResultCache, function_tokens
 from repro.engine.context import AnalysisContext
-from repro.engine.parallel import ParallelExecutor, resolve_jobs
+from repro.engine.ids import GroupIds
+from repro.engine.parallel import ParallelExecutor, PendingDraw, warm_executor
 from repro.exceptions import SamplingError
 from repro.graph.csr import IdentityNodes
 from repro.obs import instruments
 from repro.sampling.seeds import spawn_child_seeds
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle-free)
+    from repro.scoring.base import ScoringFunction
 
 Node = Hashable
 
@@ -91,6 +97,7 @@ __all__ = [
     "forest_fire_set",
     "uniform_vertex_set",
     "ENGINE_SAMPLERS",
+    "MatchedDraw",
     "SAMPLER_IDS",
     "sample_matched_ids",
     "sample_matched_sets",
@@ -714,27 +721,142 @@ SAMPLER_IDS = {
 }
 
 
-def _draw_ids(
+def _draw_scored(
     context: AnalysisContext,
     sampler: str,
     sizes: Sequence[int],
     child_seeds: Sequence[int | None],
+    functions: Sequence[ScoringFunction] | None = None,
     *,
+    graph_median_degree: float | None = None,
+    include_internal_adjacency: bool = False,
     tally: list[int] | None = None,
-) -> list[np.ndarray]:
-    """Replicate ``i``: ``sizes[i]`` ids drawn with seed ``child_seeds[i]``.
+) -> tuple[GroupIds, np.ndarray | None]:
+    """Draw replicate ``i``'s set with seed ``child_seeds[i]``, then score
+    the sets under ``functions``.
 
-    The serial path and each ``--jobs`` sampling chunk run this.
-    Random walks go through :func:`_random_walk_batch`, which counts
-    their steps and restarts in ``tally`` when one is given.
+    Returns the sets as one anonymous canonical :class:`GroupIds` and
+    their ``(G, F)`` score matrix, ``None`` without functions.  The
+    serial pass runs this on the whole batch and each ``--jobs``
+    sampling chunk on its share, so sets are scored where they are
+    drawn.  Random walks go through :func:`_random_walk_batch`, which
+    counts their steps and restarts in ``tally`` when one is given.
     """
     if sampler == "random_walk":
-        return _random_walk_batch(context, sizes, child_seeds, tally=tally)
-    function = SAMPLER_IDS[sampler]
-    return [
-        function(context, size, random.Random(child))
-        for size, child in zip(sizes, child_seeds)
-    ]
+        drawn = _random_walk_batch(context, sizes, child_seeds, tally=tally)
+    else:
+        function = SAMPLER_IDS[sampler]
+        drawn = [
+            function(context, size, random.Random(child))
+            for size, child in zip(sizes, child_seeds)
+        ]
+    groups = GroupIds.from_arrays(drawn, n=context.num_vertices)
+    if functions is None:
+        return groups, None
+    from repro.scoring.columnar import score_stats_columns
+
+    _, matrix = score_stats_columns(
+        context,
+        groups,
+        functions,
+        graph_median_degree=graph_median_degree,
+        include_internal_adjacency=include_internal_adjacency,
+    )
+    return groups, matrix
+
+
+class MatchedDraw:
+    """One matched-set draw: started when built, collected by :meth:`result`.
+
+    ``sampler`` is a key of :data:`SAMPLER_IDS`.  A seeded draw the
+    ``cache`` holds is served from it.  Otherwise replicate ``i`` is
+    drawn with child stream ``i`` of ``seed``: on an active executor's
+    pool (``executor``, else the warm one for ``jobs``), submitted here
+    so the caller can queue other work behind it, or serially in
+    :meth:`result`.  Given ``functions``, the sets are scored where they
+    are drawn, the serial pass on the whole batch and each worker on its
+    chunk; functions whose configuration cannot travel to a worker (no
+    :func:`~repro.engine.cache.function_tokens`) leave a parallel draw
+    unscored.
+    """
+
+    def __init__(
+        self,
+        context: AnalysisContext,
+        sizes: Sequence[int],
+        sampler: str,
+        *,
+        seed: int | None = None,
+        jobs: int | None = None,
+        cache: "ResultCache | str | bool | None" = None,
+        executor: ParallelExecutor | None = None,
+        functions: Sequence[ScoringFunction] | None = None,
+        graph_median_degree: float | None = None,
+        include_internal_adjacency: bool = False,
+    ) -> None:
+        self.context = AnalysisContext.ensure(context)
+        # operator.index: a float size is a TypeError, not a truncation.
+        self.sizes = [operator.index(size) for size in sizes]
+        if sampler not in SAMPLER_IDS:
+            known = ", ".join(sorted(SAMPLER_IDS))
+            raise KeyError(f"unknown sampler {sampler!r}; known: {known}")
+        self.sampler = sampler
+        self._functions = functions
+        self._options = {
+            "graph_median_degree": graph_median_degree,
+            "include_internal_adjacency": include_internal_adjacency,
+        }
+        self._store = ResultCache.resolve(cache)
+        self._key: str | None = None
+        self._cached: list[np.ndarray] | None = None
+        self._pending: PendingDraw | None = None
+        if self._store is not None and seed is not None:
+            self._key = self._store.matched_sets_key(
+                self.context, sampler=sampler, seed=seed, sizes=self.sizes
+            )
+            self._cached = self._store.load_id_sets(self._key)
+            if self._cached is not None:
+                return
+        self._child_seeds = spawn_child_seeds(seed, len(self.sizes))
+        if executor is None:
+            executor = warm_executor(self.context, jobs)
+        if executor is not None and executor.active and self.sizes:
+            if functions is not None and function_tokens(functions) is None:
+                functions = None
+            self._pending = executor.draw(
+                sampler, self.sizes, self._child_seeds, functions, **self._options
+            )
+
+    def result(self) -> tuple[GroupIds, np.ndarray | None]:
+        """Return the sets as one anonymous :class:`GroupIds`, in replicate
+        order, and their score matrix (``None`` when unscored).
+
+        Runs in the ``sampler.matched_sets`` span; a fresh seeded draw
+        is stored in the cache.
+        """
+        with obs.span("sampler.matched_sets"):
+            if self._cached is not None:
+                groups = GroupIds.from_arrays(
+                    self._cached, n=self.context.num_vertices
+                )
+                matrix = None
+            else:
+                if self._pending is not None:
+                    groups, matrix = self._pending.result()
+                else:
+                    groups, matrix = _draw_scored(
+                        self.context,
+                        self.sampler,
+                        self.sizes,
+                        self._child_seeds,
+                        self._functions,
+                        **self._options,
+                    )
+                if self._key is not None and self._store is not None:
+                    self._store.store_id_sets(self._key, groups.slices())
+            instruments.SETS_SAMPLED.inc(len(groups), label=self.sampler)
+            obs.add("sets", len(groups))
+        return groups, matrix
 
 
 def sample_matched_ids(
@@ -754,21 +876,18 @@ def sample_matched_ids(
     ``seed``, so serial and parallel (``jobs``/``executor``) execution
     emit identical draws.  Each array is ascending and unique, ready for
     :meth:`~repro.engine.ids.GroupIds.from_arrays`.  Seeded draws may be
-    served from ``cache``.
+    served from ``cache`` (see :class:`MatchedDraw`).
     """
-    context = AnalysisContext.ensure(context)
-    # operator.index: a float size is a TypeError, not a truncation.
-    sizes = [operator.index(size) for size in sizes]
-    if sampler not in SAMPLER_IDS:
-        known = ", ".join(sorted(SAMPLER_IDS))
-        raise KeyError(f"unknown sampler {sampler!r}; known: {known}")
-    with obs.span("sampler.matched_sets"):
-        id_lists = _matched_ids(
-            context, sizes, sampler, seed, jobs, cache, executor
-        )
-        instruments.SETS_SAMPLED.inc(len(id_lists), label=sampler)
-        obs.add("sets", len(id_lists))
-    return id_lists
+    groups, _ = MatchedDraw(
+        context,
+        sizes,
+        sampler,
+        seed=seed,
+        jobs=jobs,
+        cache=cache,
+        executor=executor,
+    ).result()
+    return groups.slices()
 
 
 def sample_matched_sets(
@@ -793,42 +912,3 @@ def sample_matched_sets(
         executor=executor,
     )
     return [_id_labels(context, ids) for ids in id_lists]
-
-
-def _matched_ids(
-    context: AnalysisContext,
-    sizes: list[int],
-    sampler: str,
-    seed: int | None,
-    jobs: int | None,
-    cache: "ResultCache | str | bool | None",
-    executor: ParallelExecutor | None,
-) -> list[np.ndarray]:
-    store = ResultCache.resolve(cache)
-    key = None
-    if store is not None and seed is not None:
-        key = store.matched_sets_key(
-            context, sampler=sampler, seed=seed, sizes=sizes
-        )
-        cached = store.load_id_sets(key)
-        if cached is not None:
-            return cached
-
-    child_seeds = spawn_child_seeds(seed, len(sizes))
-    own_executor = False
-    if executor is None:
-        effective = resolve_jobs(jobs)
-        if effective > 1:
-            executor = ParallelExecutor(context, effective)
-            own_executor = True
-    try:
-        if executor is not None and executor.active:
-            id_lists = executor.sample_ids(sampler, sizes, child_seeds)
-        else:
-            id_lists = _draw_ids(context, sampler, sizes, child_seeds)
-    finally:
-        if own_executor and executor is not None:
-            executor.close()
-    if key is not None and store is not None:
-        store.store_id_sets(key, id_lists)
-    return id_lists

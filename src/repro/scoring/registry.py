@@ -10,7 +10,7 @@ all group statistics come from the engine's vectorized batch pass.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +20,7 @@ from repro.data.groups import GroupSet, VertexGroup
 from repro.engine.cache import ResultCache, function_tokens
 from repro.engine.context import AnalysisContext
 from repro.engine.ids import GroupIds
-from repro.engine.parallel import ParallelExecutor, resolve_jobs
+from repro.engine.parallel import ParallelExecutor, warm_executor
 from repro.obs import capture_manifest, instruments
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
@@ -54,6 +54,8 @@ __all__ = [
     "ScoreTable",
     "score_group",
     "score_groups",
+    "scored_table",
+    "scoring_options",
 ]
 
 #: The four functions of the paper's evaluation (section V), in paper order.
@@ -201,6 +203,27 @@ def score_group(
     }
 
 
+def scoring_options(
+    context: AnalysisContext, functions: Sequence[ScoringFunction]
+) -> dict[str, object]:
+    """Return the stats-pass options ``functions`` need, as keywords.
+
+    FOMD needs the graph's median degree and TPR the internal adjacency
+    rows; every batch scoring path (serial, shards, sampling chunks)
+    passes these to :func:`~repro.scoring.columnar.score_stats_columns`.
+    """
+    return {
+        "graph_median_degree": (
+            context.median_degree
+            if _needs(functions, FractionOverMedianDegree)
+            else None
+        ),
+        "include_internal_adjacency": _needs(
+            functions, TriangleParticipationRatio
+        ),
+    }
+
+
 def score_groups(
     graph: Graph | DiGraph | AnalysisContext,
     groups: GroupIds | GroupSet | Sequence[VertexGroup],
@@ -226,97 +249,117 @@ def score_groups(
     from one engine batch pass over the shared CSR substrate.
 
     ``jobs > 1`` (or a live ``executor``) shards the batch across a
-    shared-memory worker pool; shards merge in canonical group order, so
-    the table is byte-identical to the serial one.  ``cache`` may serve
-    the whole batch from disk, keyed on the context fingerprint, the
-    functions' configuration and the groups' vertex ids.  Functions
-    carrying non-scalar state (a sampled-Modularity ensemble) are scored
-    serially and never cached.
+    shared-memory worker pool, the warm one when no executor is given
+    (:func:`~repro.engine.parallel.warm_executor`); shards merge in
+    canonical group order, so the table is byte-identical to the serial
+    one.  ``cache`` may serve the whole batch from disk, keyed on the
+    context fingerprint, the functions' configuration and the groups'
+    vertex ids.  Functions carrying non-scalar state (a
+    sampled-Modularity ensemble) are scored serially and never cached.
     """
     if functions is None:
         functions = make_paper_functions()
     context = AnalysisContext.ensure(graph)
     with obs.span("scoring.score_groups"):
-        median = (
-            context.median_degree
-            if _needs(functions, FractionOverMedianDegree)
-            else None
-        )
-        include_adjacency = _needs(functions, TriangleParticipationRatio)
-        if not isinstance(groups, GroupIds):
+        options = scoring_options(context, functions)
+        if isinstance(groups, GroupIds):
+            batch = groups
+        else:
             group_list = list(groups)
-            groups = GroupIds.from_labels(
+            batch = GroupIds.from_labels(
                 context,
                 [group.members for group in group_list],
                 names=[group.name for group in group_list],
                 restrict=restrict_to_graph,
             )
-        if groups.names is None:
-            raise ValueError("score_groups needs named groups")
-        names = list(groups.names)
-        sizes: list[int] = []
-
         tokens = function_tokens(functions)
-        store = ResultCache.resolve(cache)
-        key: str | None = None
-        if store is not None and tokens is not None:
-            key = store.score_groups_key(
-                context,
-                tokens=tokens,
-                group_names=names,
-                id_lists=groups.slices(),
-                include_internal_adjacency=include_adjacency,
-            )
-            hit = store.load_score_table(key)
-            if hit is not None:
-                names, sizes, columns = hit
-                _record_score_manifest(context, functions)
-                return ScoreTable(
-                    group_names=names, group_sizes=sizes, columns=columns
-                )
 
-        own_executor = False
-        if executor is None and tokens is not None:
-            effective = resolve_jobs(jobs)
-            if effective > 1:
-                executor = ParallelExecutor(context, effective)
-                own_executor = True
-        try:
+        def compute() -> tuple[list[int], np.ndarray]:
+            runner = executor
+            if runner is None and tokens is not None:
+                runner = warm_executor(context, jobs)
             if (
-                executor is not None
-                and executor.active
+                runner is not None
+                and runner.active
                 and tokens is not None
-                and len(groups)
+                and len(batch)
             ):
-                sizes, matrix = executor.score_groups(
-                    groups,
-                    functions,
-                    graph_median_degree=median,
-                    include_internal_adjacency=include_adjacency,
-                )
-            else:
-                sizes, matrix = score_stats_columns(
-                    context,
-                    groups,
-                    functions,
-                    graph_median_degree=median,
-                    include_internal_adjacency=include_adjacency,
-                )
-            columns = {
-                function.name: np.ascontiguousarray(matrix[:, j])
-                for j, function in enumerate(functions)
-            }
-        finally:
-            if own_executor and executor is not None:
-                executor.close()
+                return runner.score_groups(batch, functions, **options)
+            return score_stats_columns(context, batch, functions, **options)
 
-        if key is not None and store is not None:
-            store.store_score_table(key, names, sizes, columns)
+        return _score_table(context, batch, functions, tokens, cache, compute)
 
-        if obs.enabled():
-            instruments.SCORES_COMPUTED.inc(len(names) * len(functions))
+
+def scored_table(
+    context: AnalysisContext,
+    groups: GroupIds,
+    functions: Sequence[ScoringFunction],
+    matrix: np.ndarray,
+    *,
+    cache: "ResultCache | str | bool | None" = None,
+) -> ScoreTable:
+    """Return the table of named ``groups`` already scored as ``matrix``.
+
+    For sets scored where they were drawn (the Fig. 5 random sets,
+    :class:`~repro.engine.samplers.MatchedDraw`): keyed, cached, counted
+    and recorded as :func:`score_groups` would, which serves the cache's
+    copy when it holds one.
+    """
+    with obs.span("scoring.score_groups"):
+        return _score_table(
+            context,
+            groups,
+            functions,
+            function_tokens(functions),
+            cache,
+            lambda: (groups.sizes.tolist(), matrix),
+        )
+
+
+def _score_table(
+    context: AnalysisContext,
+    groups: GroupIds,
+    functions: Sequence[ScoringFunction],
+    tokens: list[dict[str, object]] | None,
+    cache: "ResultCache | str | bool | None",
+    compute: Callable[[], tuple[list[int], np.ndarray]],
+) -> ScoreTable:
+    """Serve ``groups``' table from ``cache``, else ``compute()`` it.
+
+    ``compute`` returns per-group sizes and the ``(G, F)`` matrix; a
+    computed table is stored under the batch's key.
+    """
+    if groups.names is None:
+        raise ValueError("score_groups needs named groups")
+    names = list(groups.names)
+    store = ResultCache.resolve(cache)
+    key: str | None = None
+    if store is not None and tokens is not None:
+        key = store.score_groups_key(
+            context,
+            tokens=tokens,
+            group_names=names,
+            id_lists=groups.slices(),
+            include_internal_adjacency=_needs(
+                functions, TriangleParticipationRatio
+            ),
+        )
+        hit = store.load_score_table(key)
+        if hit is not None:
+            names, sizes, columns = hit
             _record_score_manifest(context, functions)
+            return ScoreTable(group_names=names, group_sizes=sizes, columns=columns)
 
+    sizes, matrix = compute()
+    columns = {
+        function.name: np.ascontiguousarray(matrix[:, j])
+        for j, function in enumerate(functions)
+    }
+    if key is not None and store is not None:
+        store.store_score_table(key, names, sizes, columns)
+    if obs.enabled():
+        instruments.SCORES_COMPUTED.inc(len(names) * len(functions))
+        _record_score_manifest(context, functions)
     return ScoreTable(group_names=names, group_sizes=sizes, columns=columns)
 
 

@@ -206,10 +206,10 @@ def test_first_failing_replicate_raises(jobs, bad, error):
         )
     )
     assert (status, kind, text) == ("error", error, str(loop_error.value))
-    if jobs == 1:
-        # Replicates before the failing one are counted, as in the loop
-        # (child i does not depend on how many children are spawned).
-        assert counts == loop_draws(context, sizes[:200], 11)[1]
+    # Replicates before the failing one are counted, as in the loop
+    # (child i does not depend on how many children are spawned), at
+    # jobs 2 too: the failing chunk hands back its partial tally.
+    assert counts == loop_draws(context, sizes[:200], 11)[1]
 
 
 def test_parallel_lockstep_equals_serial():

@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import random
 
+import numpy as np
 import pytest
 
 from repro.data.groups import GroupSet, VertexGroup
@@ -22,10 +23,11 @@ from repro.engine import (
     GroupIds,
     ParallelExecutor,
     resolve_jobs,
+    sample_matched_ids,
     sample_matched_sets,
 )
 from repro.engine.parallel import _worker_context, shard_ranges
-from repro.exceptions import ParallelError
+from repro.exceptions import ParallelError, SamplingError
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
 from repro.scoring.registry import make_paper_functions, score_groups
@@ -111,6 +113,16 @@ class TestResolveJobs:
         with pytest.raises(ValueError):
             resolve_jobs(0)
 
+    @pytest.mark.parametrize("jobs", [2.5, 2.0, "3"])
+    def test_non_integer_count_is_a_type_error(self, jobs):
+        # Not truncated to 2 workers, nor parsed as 3.
+        with pytest.raises(TypeError):
+            resolve_jobs(jobs)
+
+    def test_numpy_integer_count_passes(self):
+        assert resolve_jobs(np.int64(3)) == 3
+        assert resolve_jobs(np.int32(2)) == 2
+
 
 # -- byte-identity ------------------------------------------------------------
 
@@ -137,32 +149,68 @@ def test_parallel_sampling_replays_serial_seed_for_seed(sampler):
     assert serial == parallel
 
 
-def test_walk_counters_match_serial_under_jobs():
-    """Worker metrics are off; the parent adds up each chunk's totals."""
+def _walk_counts(call):
+    """Run ``call`` with metrics on: (error text or None, steps, restarts)."""
     from repro import obs
     from repro.obs import instruments
 
+    obs.REGISTRY.reset()
+    obs.enable_metrics()
+    error = None
+    try:
+        call()
+    except SamplingError as exc:
+        error = str(exc)
+    finally:
+        obs.disable()
+    counts = (
+        error,
+        instruments.WALK_STEPS.value(),
+        instruments.WALK_RESTARTS.value(),
+    )
+    obs.REGISTRY.reset()
+    return counts
+
+
+def test_walk_counters_match_serial_under_jobs():
+    """Worker metrics are off; the parent adds up each chunk's totals.
+
+    A failing batch counts the replicates before the first failure, as
+    the serial loop does: every chunk before the failing one, plus that
+    chunk's replicates before it (chunks after it are not counted).
+    """
     # Sparse enough that some walks dead-end and restart.
     context = AnalysisContext(scrambled_graph(directed=False, m=70))
-    sizes = [3, 7, 1, 12, 5, 9, 4, 30, 45]
-    counts = {}
-    for jobs in (1, 2):
-        obs.REGISTRY.reset()
-        obs.enable_metrics()
-        try:
-            sample_matched_sets(
-                context, sizes, "random_walk", seed=3, jobs=jobs
+    # Lockstep-sized chunks, failing inside the second of two.
+    rng = random.Random(8)
+    failing = [rng.randint(1, 40) for _ in range(320)]
+    failing[200] = context.num_vertices + 1
+    for sizes in ([3, 7, 1, 12, 5, 9, 4, 30, 45], failing):
+        counts = {
+            jobs: _walk_counts(
+                lambda: sample_matched_sets(
+                    context, sizes, "random_walk", seed=3, jobs=jobs
+                )
             )
-        finally:
-            obs.disable()
-        counts[jobs] = (
-            instruments.WALK_STEPS.value(),
-            instruments.WALK_RESTARTS.value(),
-        )
-    obs.REGISTRY.reset()
-    steps, restarts = counts[1]
-    assert steps > 0 and restarts > 0
-    assert counts[2] == counts[1]
+            for jobs in (1, 2)
+        }
+        error, steps, restarts = counts[1]
+        assert steps > 0 and restarts > 0
+        assert counts[2] == counts[1]
+        assert (error is not None) == (sizes is failing)
+    # Exactly replicates 0..199, whichever process drew them.
+    assert counts[1][1:] == _walk_counts(
+        lambda: sample_matched_sets(context, failing[:200], "random_walk", seed=3)
+    )[1:]
+
+
+def test_parallel_draw_hands_out_views_of_one_array():
+    """Each sampling chunk returns one flat array, not one per replicate."""
+    context = AnalysisContext(scrambled_graph(directed=True))
+    drawn = sample_matched_ids(
+        context, [3, 7, 1, 12, 5, 9, 4], "random_walk", seed=0, jobs=2
+    )
+    assert all(np.shares_memory(ids, drawn[0].base) for ids in drawn)
 
 
 def test_more_groups_than_workers_covered():
