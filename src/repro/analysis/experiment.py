@@ -15,8 +15,13 @@ from repro import obs
 from repro.analysis.cdf import EmpiricalCDF
 from repro.data.datasets import Dataset
 from repro.data.groups import GroupSet
-from repro.engine import AnalysisContext, GroupIds, ResultCache
-from repro.engine.parallel import warm_executor
+from repro.engine import (
+    AnalysisContext,
+    GroupIds,
+    ParallelExecutor,
+    ResultCache,
+    resolve_jobs,
+)
 from repro.engine.samplers import MatchedDraw
 from repro.obs import capture_manifest, instruments
 from repro.graph.digraph import DiGraph
@@ -105,10 +110,10 @@ def circles_vs_random(
     The random sets are scored by the pass that draws them
     (:class:`~repro.engine.samplers.MatchedDraw`).  ``jobs > 1`` runs the
     circle shards and the sampling chunks, each worker scoring the sets
-    it drew, in one round trip to the process's warm worker pool over
-    the frozen context (:func:`~repro.engine.parallel.warm_executor`),
-    and results stay byte-identical to serial; ``cache`` serves repeated
-    runs from disk (see :class:`~repro.engine.ResultCache`).
+    it drew, in one round trip to a worker pool over the frozen context,
+    started and closed by this call; results stay byte-identical to
+    serial.  ``cache`` serves repeated runs from disk (see
+    :class:`~repro.engine.ResultCache`).
     """
     if isinstance(source, Dataset):
         graph, groups = source.graph, source.groups
@@ -131,37 +136,49 @@ def circles_vs_random(
         )
         circles = circles.select(circles.sizes >= min_group_size)
 
-        # The random sets are drawn and scored in one pass.  At --jobs,
-        # each worker scores the chunk it drew, and the chunks go to the
-        # pool ahead of the circle shards: one round trip serves both.
-        executor = warm_executor(context, jobs)
-        draw = MatchedDraw(
-            context,
-            circles.sizes.tolist(),
-            sampler,
-            seed=seed,
-            cache=cache,
-            executor=executor,
-            functions=functions,
-            **scoring_options(context, functions),
+        # One executor serves the whole run, so pool startup and the
+        # shared-memory CSR export are paid once per run, not per batch.
+        effective_jobs = resolve_jobs(jobs)
+        executor = (
+            ParallelExecutor(context, effective_jobs)
+            if effective_jobs > 1
+            else None
         )
-        circle_scores = score_groups(
-            context, circles, functions, cache=cache, executor=executor
-        )
-        drawn, matrix = draw.result()
-        randoms = GroupIds(
-            tuple(f"random-{i}" for i in range(len(drawn))),
-            drawn.offsets,
-            drawn.ids,
-        )
-        if matrix is None:
-            random_scores = score_groups(
-                context, randoms, functions, cache=cache, executor=executor
+        try:
+            # The random sets are drawn and scored in one pass.  At
+            # --jobs, each worker scores the chunk it drew, and the chunks
+            # go to the pool ahead of the circle shards: one round trip
+            # serves both.
+            draw = MatchedDraw(
+                context,
+                circles.sizes.tolist(),
+                sampler,
+                seed=seed,
+                cache=cache,
+                executor=executor,
+                functions=functions,
+                **scoring_options(context, functions),
             )
-        else:
-            random_scores = scored_table(
-                context, randoms, functions, matrix, cache=cache
+            circle_scores = score_groups(
+                context, circles, functions, cache=cache, executor=executor
             )
+            drawn, matrix = draw.result()
+            randoms = GroupIds(
+                tuple(f"random-{i}" for i in range(len(drawn))),
+                drawn.offsets,
+                drawn.ids,
+            )
+            if matrix is None:
+                random_scores = score_groups(
+                    context, randoms, functions, cache=cache, executor=executor
+                )
+            else:
+                random_scores = scored_table(
+                    context, randoms, functions, matrix, cache=cache
+                )
+        finally:
+            if executor is not None:
+                executor.close()
         if obs.enabled():
             instruments.EXPERIMENT_RUNS.inc(label="circles_vs_random")
             obs.record_manifest(

@@ -96,8 +96,7 @@ class AnalysisContext:
         Directed out/in orientations; ``None`` for undirected graphs.
     """
 
-    #: The snapshot's fields, which an adopting copy shares.
-    _FIELDS = (
+    __slots__ = (
         "graph",
         "csr",
         "csr_out",
@@ -113,15 +112,11 @@ class AnalysisContext:
         "_ids_in_label_order",
         "_fingerprint",
     )
-    # Weakly referenceable: the warm worker pool
-    # (repro.engine.parallel.warm_executor) closes when its context goes.
-    __slots__ = _FIELDS + ("__weakref__",)
 
     def __init__(self, graph: "Graph | DiGraph | AnalysisContext") -> None:
         if isinstance(graph, AnalysisContext):
             # Already frozen: adopt the snapshot (freeze-once contract).
-            # The copy is a new object, with its own warm pool if any.
-            for slot in self._FIELDS:
+            for slot in self.__slots__:
                 setattr(self, slot, getattr(graph, slot))
             return
         if graph.number_of_nodes() == 0:

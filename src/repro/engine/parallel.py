@@ -26,10 +26,6 @@ immutable by contract — so parallelism here is a pure fan-out:
   their sets as flat ids with offsets, scored by the worker that drew
   them when the caller asks (:meth:`ParallelExecutor.draw`).
 
-Drivers that are handed no executor run on the process's one *warm*
-executor (:func:`warm_executor`), which outlives the call, so a process
-that runs several passes on one context starts its pool once.
-
 Workers run with observability disabled: a forked child would otherwise
 inherit the parent's tracer and interleave writes into its trace file.
 The parent records shard fan-out in ``engine.parallel_shards`` instead,
@@ -41,7 +37,6 @@ from __future__ import annotations
 
 import operator
 import os
-import weakref
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
@@ -63,14 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle-free)
 # multiprocessing, concurrent.futures and shared_memory load when a pool
 # or an export starts: a serial run (``jobs=1``) never needs them.
 
-__all__ = [
-    "ParallelExecutor",
-    "PendingDraw",
-    "close_warm_executor",
-    "resolve_jobs",
-    "shard_ranges",
-    "warm_executor",
-]
+__all__ = ["ParallelExecutor", "PendingDraw", "resolve_jobs", "shard_ranges"]
 
 #: Shards per worker: finer than one-per-worker so a shard of heavy
 #: groups cannot leave the other workers idle at the tail of a batch.
@@ -404,10 +392,6 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context()
 
 
-#: The process's warm executor (:func:`warm_executor`), if any.
-_warm: ParallelExecutor | None = None
-
-
 class ParallelExecutor:
     """Worker pool bound to one frozen context's shared-memory export.
 
@@ -416,29 +400,16 @@ class ParallelExecutor:
     pool and segments materialize lazily on first use, so an executor
     created for a run that ends up serial (tiny batch, unsafe functions)
     costs nothing.  Always :meth:`close` (or use as a context manager);
-    otherwise the shared segments outlive the run.  Drivers handed no
-    executor use the warm one instead (:func:`warm_executor`).
+    otherwise the shared segments outlive the run.
     """
 
     def __init__(
         self, context: AnalysisContext, jobs: int | None = None
     ) -> None:
-        context = AnalysisContext.ensure(context)
+        self.context = AnalysisContext.ensure(context)
         self.jobs = resolve_jobs(jobs)
-        # An executor built here keeps its context alive; the warm
-        # executor drops this reference and reaches it weakly.
-        self._owner: AnalysisContext | None = context
-        self._context = weakref.ref(context)
         self._shared: _SharedContext | None = None
         self._pool: ProcessPoolExecutor | None = None
-
-    @property
-    def context(self) -> AnalysisContext:
-        """Return the frozen context the workers compute on."""
-        context = self._context()
-        if context is None:  # pragma: no cover - its finalizer closed us
-            raise ParallelError("the executor's context was collected")
-        return context
 
     @property
     def active(self) -> bool:
@@ -460,9 +431,6 @@ class ParallelExecutor:
             import repro.engine.batch  # noqa: F401
             import repro.engine.samplers  # noqa: F401
 
-            # No fork while another pool's manager thread runs.
-            if _warm is not None and _warm is not self:
-                _warm.close()
             self._shared = _SharedContext(self.context)
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
@@ -586,9 +554,6 @@ class ParallelExecutor:
 
     def close(self) -> None:
         """Shut the pool down and release the shared-memory segments."""
-        global _warm
-        if _warm is self:
-            _warm = None
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
@@ -641,41 +606,3 @@ class PendingDraw:
         matrix = None if blocks[0] is None else np.concatenate(blocks)
         return GroupIds.concat(parts), matrix
 
-
-# -- the warm executor -------------------------------------------------------
-
-
-def warm_executor(
-    context: AnalysisContext, jobs: int | None = None
-) -> ParallelExecutor | None:
-    """Return the executor a driver runs on when its caller passed none.
-
-    ``None`` when ``jobs`` resolves to 1.  Otherwise the process's one
-    warm executor for ``context`` at ``jobs`` workers, created on first
-    use (its pool on first dispatch) and kept for the next call, so a
-    process that runs several passes on one context starts its pool and
-    exports the context once.  It never keeps its context alive, and it
-    closes when the context is collected, when another context or worker
-    count asks for one, when a worker dies, before any other pool of
-    this package forks, and at interpreter exit.  An explicitly built
-    :class:`ParallelExecutor` keeps its own pool and lifetime.
-    """
-    global _warm
-    jobs = resolve_jobs(jobs)
-    if jobs == 1:
-        return None
-    if _warm is not None and _warm.jobs == jobs and _warm._context() is context:
-        return _warm
-    close_warm_executor()
-    executor = ParallelExecutor(context, jobs)
-    executor._owner = None
-    # Also runs at interpreter exit while the context is alive.
-    weakref.finalize(context, executor.close)
-    _warm = executor
-    return executor
-
-
-def close_warm_executor() -> None:
-    """Shut the warm executor's pool down, if there is one."""
-    if _warm is not None:
-        _warm.close()

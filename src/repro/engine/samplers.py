@@ -80,7 +80,7 @@ from repro import obs
 from repro.engine.cache import ResultCache, function_tokens
 from repro.engine.context import AnalysisContext
 from repro.engine.ids import GroupIds
-from repro.engine.parallel import ParallelExecutor, PendingDraw, warm_executor
+from repro.engine.parallel import ParallelExecutor, PendingDraw, resolve_jobs
 from repro.exceptions import SamplingError
 from repro.graph.csr import IdentityNodes
 from repro.obs import instruments
@@ -770,14 +770,15 @@ class MatchedDraw:
 
     ``sampler`` is a key of :data:`SAMPLER_IDS`.  A seeded draw the
     ``cache`` holds is served from it.  Otherwise replicate ``i`` is
-    drawn with child stream ``i`` of ``seed``: on an active executor's
-    pool (``executor``, else the warm one for ``jobs``), submitted here
-    so the caller can queue other work behind it, or serially in
-    :meth:`result`.  Given ``functions``, the sets are scored where they
-    are drawn, the serial pass on the whole batch and each worker on its
-    chunk; functions whose configuration cannot travel to a worker (no
+    drawn with child stream ``i`` of ``seed``: on an active
+    ``executor``'s pool, submitted here so the caller can queue other
+    work behind it, or serially in :meth:`result`.  Given
+    ``functions``, the sets are scored where they are drawn, the serial
+    pass on the whole batch and each worker on its chunk; functions
+    whose configuration cannot travel to a worker (no
     :func:`~repro.engine.cache.function_tokens`) leave a parallel draw
-    unscored.
+    unscored.  The caller owns ``executor`` and closes it after
+    :meth:`result`.
     """
 
     def __init__(
@@ -787,7 +788,6 @@ class MatchedDraw:
         sampler: str,
         *,
         seed: int | None = None,
-        jobs: int | None = None,
         cache: "ResultCache | str | bool | None" = None,
         executor: ParallelExecutor | None = None,
         functions: Sequence[ScoringFunction] | None = None,
@@ -818,8 +818,6 @@ class MatchedDraw:
             if self._cached is not None:
                 return
         self._child_seeds = spawn_child_seeds(seed, len(self.sizes))
-        if executor is None:
-            executor = warm_executor(self.context, jobs)
         if executor is not None and executor.active and self.sizes:
             if functions is not None and function_tokens(functions) is None:
                 functions = None
@@ -878,15 +876,19 @@ def sample_matched_ids(
     :meth:`~repro.engine.ids.GroupIds.from_arrays`.  Seeded draws may be
     served from ``cache`` (see :class:`MatchedDraw`).
     """
-    groups, _ = MatchedDraw(
-        context,
-        sizes,
-        sampler,
-        seed=seed,
-        jobs=jobs,
-        cache=cache,
-        executor=executor,
-    ).result()
+    context = AnalysisContext.ensure(context)
+    own_executor = None
+    if executor is None:
+        effective = resolve_jobs(jobs)
+        if effective > 1:
+            executor = own_executor = ParallelExecutor(context, effective)
+    try:
+        groups, _ = MatchedDraw(
+            context, sizes, sampler, seed=seed, cache=cache, executor=executor
+        ).result()
+    finally:
+        if own_executor is not None:
+            own_executor.close()
     return groups.slices()
 
 

@@ -185,7 +185,7 @@ class NullModelEnsemble:
             (int(stream.integers(2**32)), int(stream.integers(2**32)))
             for stream in streams
         ]
-        from repro.engine.parallel import close_warm_executor, resolve_jobs
+        from repro.engine.parallel import resolve_jobs
 
         jobs = resolve_jobs(jobs)
         if jobs > 1 and samples > 1:
@@ -196,8 +196,6 @@ class NullModelEnsemble:
             import repro.nullmodel.configuration  # noqa: F401
             import repro.nullmodel.viger_latapy  # noqa: F401
 
-            # No fork while the warm pool's manager thread runs.
-            close_warm_executor()
             with ProcessPoolExecutor(
                 max_workers=min(jobs, samples),
                 initializer=_null_worker_init,

@@ -20,7 +20,7 @@ from repro.data.groups import GroupSet, VertexGroup
 from repro.engine.cache import ResultCache, function_tokens
 from repro.engine.context import AnalysisContext
 from repro.engine.ids import GroupIds
-from repro.engine.parallel import ParallelExecutor, warm_executor
+from repro.engine.parallel import ParallelExecutor, resolve_jobs
 from repro.obs import capture_manifest, instruments
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
@@ -249,13 +249,12 @@ def score_groups(
     from one engine batch pass over the shared CSR substrate.
 
     ``jobs > 1`` (or a live ``executor``) shards the batch across a
-    shared-memory worker pool, the warm one when no executor is given
-    (:func:`~repro.engine.parallel.warm_executor`); shards merge in
-    canonical group order, so the table is byte-identical to the serial
-    one.  ``cache`` may serve the whole batch from disk, keyed on the
-    context fingerprint, the functions' configuration and the groups'
-    vertex ids.  Functions carrying non-scalar state (a
-    sampled-Modularity ensemble) are scored serially and never cached.
+    shared-memory worker pool; shards merge in canonical group order, so
+    the table is byte-identical to the serial one.  ``cache`` may serve
+    the whole batch from disk, keyed on the context fingerprint, the
+    functions' configuration and the groups' vertex ids.  Functions
+    carrying non-scalar state (a sampled-Modularity ensemble) are scored
+    serially and never cached.
     """
     if functions is None:
         functions = make_paper_functions()
@@ -275,17 +274,26 @@ def score_groups(
         tokens = function_tokens(functions)
 
         def compute() -> tuple[list[int], np.ndarray]:
-            runner = executor
+            runner, own_executor = executor, False
             if runner is None and tokens is not None:
-                runner = warm_executor(context, jobs)
-            if (
-                runner is not None
-                and runner.active
-                and tokens is not None
-                and len(batch)
-            ):
-                return runner.score_groups(batch, functions, **options)
-            return score_stats_columns(context, batch, functions, **options)
+                effective = resolve_jobs(jobs)
+                if effective > 1:
+                    runner = ParallelExecutor(context, effective)
+                    own_executor = True
+            try:
+                if (
+                    runner is not None
+                    and runner.active
+                    and tokens is not None
+                    and len(batch)
+                ):
+                    return runner.score_groups(batch, functions, **options)
+                return score_stats_columns(
+                    context, batch, functions, **options
+                )
+            finally:
+                if own_executor and runner is not None:
+                    runner.close()
 
         return _score_table(context, batch, functions, tokens, cache, compute)
 

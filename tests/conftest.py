@@ -3,8 +3,6 @@ data sets (unit tests never build the full paper-scale corpora)."""
 
 from __future__ import annotations
 
-import multiprocessing
-
 import pytest
 
 from repro.data.datasets import Dataset
@@ -50,27 +48,6 @@ SMALL_COMMUNITY_CONFIG = CommunityGraphConfig(
     background_degree=4.0,
     background_weight_sigma=0.6,
 )
-
-
-@pytest.fixture(autouse=True)
-def _close_warm_pool():
-    """Close the warm worker pool after each test.
-
-    A warm pool outlives the call that started it, and its workers are
-    forks of the process as it was then: a later test must not run on
-    workers forked before its monkeypatches.
-    """
-    yield
-    from repro.engine.parallel import close_warm_executor
-
-    close_warm_executor()
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _no_live_workers():
-    """The session ends with no worker process left alive."""
-    yield
-    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture
