@@ -697,7 +697,7 @@ _ENV_FALLBACKS = (
     ("jobs", "REPRO_JOBS", _COUNT, 1),
     ("port", "REPRO_SERVE_PORT", _PORT, 8734),
     ("max_resident", "REPRO_SERVE_MAX_RESIDENT", _COUNT, 4),
-    ("batch_window", "REPRO_SERVE_WINDOW", _number(float, 0), 0.005),
+    ("batch_window", "REPRO_SERVE_WINDOW", _number(float, 0), 0.0),
     ("max_batch", "REPRO_SERVE_MAX_BATCH", _COUNT, 64),
 )
 
@@ -917,8 +917,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_number(float, 0),
         default=None,
         metavar="SECONDS",
-        help="micro-batch coalescing window "
-        "(default: $REPRO_SERVE_WINDOW or 0.005)",
+        help="least time a micro-batch's oldest request waits before the "
+        "batch starts; 0 starts it as soon as no batch of its key is "
+        "computing (default: $REPRO_SERVE_WINDOW or 0)",
     )
     serve_parser.add_argument(
         "--max-batch",

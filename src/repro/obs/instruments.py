@@ -49,6 +49,7 @@ __all__ = [
     "SERVICE_RESPONSES",
     "SERVICE_BATCHES",
     "SERVICE_BATCH_SIZE",
+    "SERVICE_BATCH_WAIT",
     "SERVICE_EVICTIONS",
     "SERVICE_RESIDENT",
     "SERVICE_MEMORY_HITS",
@@ -241,6 +242,13 @@ SERVICE_BATCH_SIZE = REGISTRY.histogram(
     "coalesced requests per flushed micro-batch",
     unit="requests",
     edges=(1, 2, 4, 8, 16, 32, 64, 128),
+)
+
+SERVICE_BATCH_WAIT = REGISTRY.histogram(
+    "service.batch_wait",
+    "per request, time from micro-batcher submit to the start of its batch",
+    unit="ms",
+    edges=(0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000),
 )
 
 SERVICE_EVICTIONS = REGISTRY.counter(

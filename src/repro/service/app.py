@@ -76,7 +76,10 @@ class ServiceConfig:
     :attr:`CircleService.address` after :meth:`CircleService.start`).
     ``cache`` follows :meth:`repro.engine.ResultCache.resolve` semantics
     (path, instance, ``False`` to disable, ``None`` for
-    ``REPRO_CACHE_DIR``).
+    ``REPRO_CACHE_DIR``).  ``batch_window`` and ``max_batch`` are the
+    :class:`~repro.service.batching.MicroBatcher`'s ``window`` and
+    ``max_batch``: with a window of 0 a batch starts as soon as no batch
+    of its key is computing.
     """
 
     root: str | Path
@@ -85,7 +88,7 @@ class ServiceConfig:
     jobs: int | None = None
     cache: "ResultCache | str | bool | None" = None
     max_resident: int = 4
-    batch_window: float = 0.005
+    batch_window: float = 0.0
     max_batch: int = 64
     response_cache_entries: int = 1024
 

@@ -314,38 +314,51 @@ class TestEtagAndCaching:
         assert status2 == 304
 
 
+def _concurrent_one_group_scores(service_runner, client_class, **config):
+    """Six one-group score queries sent at once over six connections;
+    returns their responses and the batches flushed meanwhile."""
+
+    async def scenario(service, client):
+        _, _, listing = await client.get_json("/v1/datasets/alpha/groups")
+        names = [g["name"] for g in listing["groups"]]
+        clients = [client_class(*service.address) for _ in range(6)]
+        for extra in clients:
+            await extra.connect()
+        before = instruments.SERVICE_BATCHES.total()
+        try:
+            results = await asyncio.gather(
+                *(
+                    extra.get_json(f"/v1/datasets/alpha/score?groups={name}")
+                    for extra, name in zip(clients, names)
+                )
+            )
+        finally:
+            for extra in clients:
+                await extra.close()
+        flushed = instruments.SERVICE_BATCHES.total() - before
+        return results, flushed
+
+    results, flushed = service_runner(scenario, **config)
+    assert all(status == 200 for status, _, _ in results)
+    for status, _, payload in results:
+        assert len(payload["groups"]) == 1
+    return flushed
+
+
 class TestConcurrency:
     def test_concurrent_requests_micro_batch(self, service_runner, client_class):
         """Parallel identical-shape queries coalesce into few batches."""
-
-        async def scenario(service, client):
-            _, _, listing = await client.get_json(
-                "/v1/datasets/alpha/groups"
-            )
-            names = [g["name"] for g in listing["groups"]]
-            clients = [client_class(*service.address) for _ in range(6)]
-            for extra in clients:
-                await extra.connect()
-            before = instruments.SERVICE_BATCHES.total()
-            try:
-                results = await asyncio.gather(
-                    *(
-                        extra.get_json(
-                            f"/v1/datasets/alpha/score?groups={name}"
-                        )
-                        for extra, name in zip(clients, names)
-                    )
-                )
-            finally:
-                for extra in clients:
-                    await extra.close()
-            flushed = instruments.SERVICE_BATCHES.total() - before
-            return results, flushed
-
-        results, flushed = service_runner(scenario, batch_window=0.05)
-        assert all(status == 200 for status, _, _ in results)
-        for status, _, payload in results:
-            assert len(payload["groups"]) == 1
+        flushed = _concurrent_one_group_scores(
+            service_runner, client_class, batch_window=0.05
+        )
         # Six concurrent one-group queries inside one 50 ms window must
         # not cost six engine invocations.
+        assert 1 <= flushed < 6
+
+    def test_concurrent_requests_micro_batch_at_default_window(
+        self, service_runner, client_class
+    ):
+        """With no window, queries parsed in one loop turn or queued
+        behind a computing batch still share an engine invocation."""
+        flushed = _concurrent_one_group_scores(service_runner, client_class)
         assert 1 <= flushed < 6
