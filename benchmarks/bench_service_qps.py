@@ -22,6 +22,12 @@ The report records per-phase QPS and p50/p99 latency plus the
   :func:`repro.scoring.registry.score_groups` call over the same store
   (JSON float round-trip is exact, so this is a real receipt).
 
+The warm phase is also counted, from ``/v1/metrics`` snapshots taken
+around it (``warm_counts``): it must start no micro-batch
+(``service.batches_flushed`` unchanged) and every warm response must be
+a memory hit (``service.memory_hits`` up by the warm request count).
+Unlike the latency ratio, these counts do not move with host speed.
+
 The acceptance gate — warm p50 at least ``MIN_WARM_SPEEDUP``× lower
 than cold p50 — is asserted in full mode and in ``--smoke`` mode (the
 ``scripts/check.sh`` configuration: small corpus, fewer requests)::
@@ -49,6 +55,9 @@ MIN_WARM_SPEEDUP = 5.0
 
 #: Load-generator connections (each one a persistent keep-alive socket).
 DEFAULT_WORKERS = 8
+
+#: Counters snapshotted around the warm phase (see ``warm_counts``).
+WARM_COUNTERS = ("service.batches_flushed", "service.memory_hits")
 
 SEED = 0
 
@@ -242,9 +251,15 @@ async def _bench(args: argparse.Namespace, root: Path) -> dict:
             host, port, [(q, {}) for q in queries], 200, args.workers
         )
         etags = {path: headers["etag"] for path, headers, _ in cold_responses}
+        before = await _counters(host, port)
         warm, _ = await _run_phase(
             host, port, [(q, {}) for q in queries], 200, args.workers
         )
+        after = await _counters(host, port)
+        warm_counts = {
+            "requests": len(queries),
+            **{name: after[name] - before[name] for name in WARM_COUNTERS},
+        }
         revalidate, _ = await _run_phase(
             host,
             port,
@@ -271,6 +286,7 @@ async def _bench(args: argparse.Namespace, root: Path) -> dict:
         "workers": args.workers,
         "phases": {"cold": cold, "warm": warm, "revalidate": revalidate},
         "warm_speedup_p50": round(speedup, 2),
+        "warm_counts": warm_counts,
         "identity": "bitwise-identical to score_groups",
         "metrics": json.loads(metrics_body),
     }
@@ -282,6 +298,32 @@ async def _metrics(host: str, port: int):
         return await client.request("/v1/metrics")
     finally:
         await client.close()
+
+
+async def _counters(host: str, port: int) -> dict[str, int]:
+    """Totals of the :data:`WARM_COUNTERS` in a ``/v1/metrics`` snapshot."""
+    status, _, body = await _metrics(host, port)
+    assert status == 200, body
+    snapshot = json.loads(body)
+    return {
+        name: sum(snapshot[name]["values"].values()) for name in WARM_COUNTERS
+    }
+
+
+def _warm_count_failures(counts: dict[str, int]) -> list[str]:
+    """What the warm phase did that a cached phase must not do."""
+    failures = []
+    if counts["service.batches_flushed"] != 0:
+        failures.append(
+            f"warm phase started {counts['service.batches_flushed']} "
+            "micro-batches (expected 0)"
+        )
+    if counts["service.memory_hits"] != counts["requests"]:
+        failures.append(
+            f"warm phase had {counts['service.memory_hits']} memory hits "
+            f"for {counts['requests']} requests"
+        )
+    return failures
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -323,6 +365,11 @@ def main(argv: list[str] | None = None) -> int:
         Path(args.output).write_text(rendered + "\n", encoding="utf-8")
     print(rendered)
 
+    failures = _warm_count_failures(report["warm_counts"])
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    if failures:
+        return 1
     if report["warm_speedup_p50"] < MIN_WARM_SPEEDUP:
         print(
             f"FAIL: warm p50 speedup {report['warm_speedup_p50']}x "

@@ -6,9 +6,9 @@ content-addressable: a frozen context has a CSR fingerprint
 (:func:`repro.obs.manifest.fingerprint_context`), scoring functions are
 small value objects, and sampling is pinned by ``(sampler, seed, sizes)``.
 :class:`ResultCache` keys each result on a SHA-256 over exactly those
-parts and stores the payload as an ``.npz`` under a cache directory, so a
-warm second run performs **zero kernel invocations** and emits identical
-output.
+parts and stores the payload as one flat, checksummed file under a cache
+directory, so a warm second run performs **zero kernel invocations** and
+emits identical output.
 
 Keying rules:
 
@@ -19,17 +19,29 @@ Keying rules:
   ensemble) have no stable token — such batches are never cached;
 * unseeded sampling (``seed=None``) is never cached (not replayable).
 
-Corrupt or unreadable entries are evicted on access and recounted as
-misses — a damaged cache degrades to recomputation, never to wrong
-results.  Hit/miss/eviction counts land in ``cache.*`` metrics and, when
-nonzero, in run manifests.
+An entry (``<key>.rce``) is, in order: the magic line
+``repro-result-cache 1`` (its digit versions the layout), the header
+length (4 bytes, little-endian), a JSON header holding the entry's
+fields and each array's name, dtype and shape, the arrays' raw
+little-endian bytes, and a CRC-32 of everything before it.  A hit is one
+read, one checksum and one ``json.loads``; its arrays are read-only
+views of the read buffer.
+
+An entry that fails any check (magic, checksum, header, dtype — only
+``<f8`` and ``<i8`` — or byte count) is damaged: it is evicted on access
+and recounted as a miss, so a damaged cache degrades to recomputation,
+never to wrong results or an exception.  Hit/miss/eviction counts land
+in ``cache.*`` metrics and, when nonzero, in run manifests;
+``cache.read`` and ``cache.write`` time each entry's disk I/O.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-import zipfile
+import time
+import zlib
 from collections.abc import Hashable, Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -47,13 +59,19 @@ Node = Hashable
 
 __all__ = ["ResultCache", "function_tokens", "query_key"]
 
-#: Bump when the payload layout, the key schema or the bytes a key names
-#: change: old entries then miss instead of being served.  v2: context
+#: Bump when the key schema or the bytes a key names change: old entries
+#: and ETags then miss instead of being served.  The entry layout is
+#: versioned apart from the keys, by :data:`_MAGIC`.  v2: context
 #: fingerprints went chunk-wise and identity-aware
 #: (repro.obs.manifest.fingerprint_context), so keys minted before the
 #: out-of-core substrate must not collide.  v3: members are scored in
 #: ascending vertex-id order, which changes Average-ODF bytes.
 _SCHEMA = "v3"
+
+#: First line of every entry; bump its digit when the layout changes.
+_MAGIC = b"repro-result-cache 1\n"
+#: The only dtypes an entry may name: a header never builds a dtype.
+_DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 
 _SCALARS = (type(None), bool, int, float, str)
 
@@ -143,8 +161,71 @@ def query_key(
     )
 
 
+def _write_entry(
+    handle, fields: dict[str, object], arrays: dict[str, np.ndarray]
+) -> None:
+    """Write one entry: magic, header length, header, arrays, CRC-32."""
+    layout = [
+        [name, array.dtype.str, list(array.shape)]
+        for name, array in arrays.items()
+    ]
+    header = json.dumps(
+        {"fields": fields, "arrays": layout}, separators=(",", ":")
+    ).encode("utf-8")
+    # Space-pad the header so the arrays start 8-byte aligned.
+    header += b" " * (-(len(_MAGIC) + 4 + len(header)) % 8)
+    crc = 0
+    for part in (
+        _MAGIC,
+        len(header).to_bytes(4, "little"),
+        header,
+        *(array.tobytes() for array in arrays.values()),
+    ):
+        handle.write(part)
+        crc = zlib.crc32(part, crc)
+    handle.write(crc.to_bytes(4, "little"))
+
+
+def _read_entry(
+    data: bytes,
+) -> tuple[dict[str, object], dict[str, np.ndarray]] | None:
+    """Parse one entry into ``(fields, arrays)``; ``None`` if damaged."""
+    start = len(_MAGIC) + 4
+    if (
+        len(data) < start + 4
+        or not data.startswith(_MAGIC)
+        or zlib.crc32(memoryview(data)[:-4])
+        != int.from_bytes(data[-4:], "little")
+    ):
+        return None
+    offset = start + int.from_bytes(data[len(_MAGIC) : start], "little")
+    try:
+        header = json.loads(data[start:offset])
+        fields = header["fields"]
+        arrays: dict[str, np.ndarray] = {}
+        for name, dtype_name, shape in header["arrays"]:
+            dtype = _DTYPES[dtype_name]
+            if not all(type(dim) is int and dim >= 0 for dim in shape):
+                return None
+            count = math.prod(shape)
+            arrays[name] = np.frombuffer(
+                data, dtype=dtype, count=count, offset=offset
+            ).reshape(shape)
+            offset += count * dtype.itemsize
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
+        return None
+    if offset != len(data) - 4 or type(fields) is not dict:
+        return None
+    return fields, arrays
+
+
+def _list_of(kind: type, value: object) -> bool:
+    return type(value) is list and all(type(item) is kind for item in value)
+
+
 class ResultCache:
-    """Content-addressed ``.npz`` store under one cache directory."""
+    """Content-addressed store of flat, checksummed entries under one
+    cache directory."""
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
@@ -170,7 +251,7 @@ class ResultCache:
         return cls(cache)
 
     def _path(self, key: str) -> Path:
-        return self.root / f"{key}.npz"
+        return self.root / f"{key}.rce"
 
     # -- keys ----------------------------------------------------------------
 
@@ -218,30 +299,42 @@ class ResultCache:
 
     # -- payload IO ----------------------------------------------------------
 
-    def _load(self, key: str, kind: str) -> dict[str, np.ndarray] | None:
+    def _load(
+        self, key: str, kind: str
+    ) -> tuple[dict[str, object], dict[str, np.ndarray]] | None:
         path = self._path(key)
+        started = time.perf_counter()
         try:
-            with np.load(path, allow_pickle=False) as payload:
-                return {name: payload[name] for name in payload.files}
+            data = path.read_bytes()
         except FileNotFoundError:
             instruments.CACHE_MISSES.inc(label=kind)
             return None
-        except (zipfile.BadZipFile, OSError, ValueError, KeyError):
-            # Damaged entry: evict and recompute rather than trust it.
-            instruments.CACHE_EVICTIONS.inc(label=kind)
-            instruments.CACHE_MISSES.inc(label=kind)
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - unlink race
-                pass
-            return None
+        except OSError:  # unreadable: damaged like any other entry
+            data = b""
+        entry = _read_entry(data)
+        instruments.CACHE_READ.observe((time.perf_counter() - started) * 1e3)
+        if entry is None:
+            self._evict(key, kind)
+        return entry
 
-    def _store(self, key: str, arrays: dict[str, np.ndarray]) -> None:
+    def _evict(self, key: str, kind: str) -> None:
+        """Drop a damaged entry: one eviction and one miss, file removed."""
+        instruments.CACHE_EVICTIONS.inc(label=kind)
+        instruments.CACHE_MISSES.inc(label=kind)
+        try:
+            self._path(key).unlink()
+        except OSError:  # pragma: no cover - unlink race
+            pass
+
+    def _store(
+        self, key: str, fields: dict[str, object], arrays: dict[str, np.ndarray]
+    ) -> None:
+        started = time.perf_counter()
         path = self._path(key)
         scratch = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             with open(scratch, "wb") as handle:
-                np.savez(handle, **arrays)
+                _write_entry(handle, fields, arrays)
             os.replace(scratch, path)
         except OSError:  # full or read-only cache dir: leave it uncached
             pass
@@ -249,29 +342,33 @@ class ResultCache:
             # Gone after a successful replace; after any failure, an
             # interrupt included, the partial file must not linger.
             scratch.unlink(missing_ok=True)
+        instruments.CACHE_WRITE.observe((time.perf_counter() - started) * 1e3)
 
     def load_score_table(
         self, key: str
     ) -> tuple[list[str], list[int], dict[str, np.ndarray]] | None:
         """Load a cached score batch as ``(names, sizes, columns)``."""
-        payload = self._load(key, "score")
-        if payload is None:
+        entry = self._load(key, "score")
+        if entry is None:
             return None
-        try:
-            functions = [str(name) for name in payload["functions"]]
-            names = [str(name) for name in payload["names"]]
-            sizes = [int(size) for size in payload["sizes"]]
-            columns = {
-                name: np.asarray(payload[f"col_{i}"], dtype=np.float64)
-                for i, name in enumerate(functions)
-            }
-        except KeyError:
-            instruments.CACHE_EVICTIONS.inc(label="score")
-            instruments.CACHE_MISSES.inc(label="score")
-            self._path(key).unlink(missing_ok=True)
+        fields, arrays = entry
+        functions = fields.get("functions")
+        names = fields.get("names")
+        sizes = fields.get("sizes")
+        scores = arrays.get("scores")
+        if not (
+            _list_of(str, functions)
+            and _list_of(str, names)
+            and _list_of(int, sizes)
+            and scores is not None
+            and scores.dtype.str == "<f8"
+            and scores.shape == (len(functions), len(names))
+            and len(sizes) == len(names)
+        ):
+            self._evict(key, "score")
             return None
         instruments.CACHE_HITS.inc(label="score")
-        return names, sizes, columns
+        return names, sizes, dict(zip(functions, scores))
 
     def store_score_table(
         self,
@@ -281,47 +378,53 @@ class ResultCache:
         columns: dict[str, np.ndarray],
     ) -> None:
         """Persist one score batch under ``key``."""
-        arrays: dict[str, np.ndarray] = {
-            "functions": np.asarray(list(columns), dtype=np.str_),
-            "names": np.asarray(list(names), dtype=np.str_),
-            "sizes": np.asarray(list(sizes), dtype=np.int64),
+        fields = {
+            "functions": [str(name) for name in columns],
+            "names": [str(name) for name in names],
+            "sizes": [int(size) for size in sizes],
         }
-        for i, values in enumerate(columns.values()):
-            arrays[f"col_{i}"] = np.asarray(values, dtype=np.float64)
-        self._store(key, arrays)
+        scores = np.array(list(columns.values()), dtype="<f8").reshape(
+            len(columns), len(names)
+        )
+        self._store(key, fields, {"scores": scores})
 
     def load_id_sets(self, key: str) -> list[np.ndarray] | None:
         """Load cached matched sets as per-set vertex-id arrays."""
-        payload = self._load(key, "sets")
-        if payload is None:
+        entry = self._load(key, "sets")
+        if entry is None:
             return None
-        try:
-            values = np.asarray(payload["values"], dtype=np.int64)
-            offsets = np.asarray(payload["offsets"], dtype=np.int64)
-        except KeyError:
-            instruments.CACHE_EVICTIONS.inc(label="sets")
-            instruments.CACHE_MISSES.inc(label="sets")
-            self._path(key).unlink(missing_ok=True)
+        _, arrays = entry
+        values = arrays.get("values")
+        offsets = arrays.get("offsets")
+        if not (
+            values is not None
+            and offsets is not None
+            and values.dtype.str == offsets.dtype.str == "<i8"
+            and values.ndim == offsets.ndim == 1
+            and offsets.size
+            and offsets[0] == 0
+            and offsets[-1] == values.size
+            and (np.diff(offsets) >= 0).all()
+        ):
+            self._evict(key, "sets")
             return None
         instruments.CACHE_HITS.inc(label="sets")
-        return [
-            values[offsets[i] : offsets[i + 1]]
-            for i in range(len(offsets) - 1)
-        ]
+        bounds = offsets.tolist()
+        return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def store_id_sets(
         self, key: str, id_lists: Sequence[np.ndarray]
     ) -> None:
         """Persist matched sets (vertex-id arrays) under ``key``."""
-        offsets = np.zeros(len(id_lists) + 1, dtype=np.int64)
+        offsets = np.zeros(len(id_lists) + 1, dtype="<i8")
         for i, ids in enumerate(id_lists):
             offsets[i + 1] = offsets[i] + len(ids)
         values = (
-            np.concatenate([np.asarray(ids, dtype=np.int64) for ids in id_lists])
+            np.concatenate([np.asarray(ids, dtype="<i8") for ids in id_lists])
             if id_lists
-            else np.zeros(0, dtype=np.int64)
+            else np.zeros(0, dtype="<i8")
         )
-        self._store(key, {"values": values, "offsets": offsets})
+        self._store(key, {}, {"values": values, "offsets": offsets})
 
     def __repr__(self) -> str:
         return f"<ResultCache root={str(self.root)!r}>"

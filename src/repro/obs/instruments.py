@@ -36,6 +36,8 @@ __all__ = [
     "CACHE_HITS",
     "CACHE_MISSES",
     "CACHE_EVICTIONS",
+    "CACHE_READ",
+    "CACHE_WRITE",
     "SCORE_GROUPS_CALLS",
     "SCORES_COMPUTED",
     "SCORING_VECTORIZED",
@@ -159,6 +161,25 @@ CACHE_EVICTIONS = REGISTRY.counter(
     "corrupt or unreadable cache entries removed on access "
     "(label: entry kind)",
     unit="entries",
+)
+
+#: Fixed edges, 0.01 ms to 1 s, shared by the cache I/O histograms.
+_CACHE_IO_EDGES = (
+    0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000,
+)
+
+CACHE_READ = REGISTRY.histogram(
+    "cache.read",
+    "time to read and check one result-cache entry that exists",
+    unit="ms",
+    edges=_CACHE_IO_EDGES,
+)
+
+CACHE_WRITE = REGISTRY.histogram(
+    "cache.write",
+    "time to write one result-cache entry",
+    unit="ms",
+    edges=_CACHE_IO_EDGES,
 )
 
 SCORE_GROUPS_CALLS = REGISTRY.counter(

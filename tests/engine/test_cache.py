@@ -10,7 +10,9 @@ the sampler and seed.  These tests pin the keying rules, the warm-run
 
 from __future__ import annotations
 
+import json
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -189,8 +191,8 @@ def test_corrupt_entry_evicted_and_recomputed(tmp_path):
     context = AnalysisContext(graph)
     cache = ResultCache(tmp_path)
     cold = score_groups(context, groups, cache=cache)
-    (entry,) = list(tmp_path.glob("*.npz"))
-    entry.write_bytes(b"not a zip archive at all")
+    (entry,) = list(tmp_path.iterdir())
+    entry.write_bytes(b"not a cache entry at all")
     _, _, evictions0 = totals()
     recovered = score_groups(context, groups, cache=cache)
     _, _, evictions1 = totals()
@@ -202,13 +204,190 @@ def test_corrupt_entry_evicted_and_recomputed(tmp_path):
     assert totals()[0] == hits0 + 1
 
 
+def _damaged(data):
+    """Every single-bit flip of ``data``, then every proper prefix."""
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        yield bytes(flipped)
+    for length in range(len(data)):
+        yield data[:length]
+
+
+def _assert_every_damage_evicted(root, load):
+    """Each damaged copy of ``root``'s one entry loads as ``None``, counts
+    one eviction and is removed; returns the entry's path and bytes."""
+    (entry,) = list(root.iterdir())
+    data = entry.read_bytes()
+    survived = []
+    for index, damaged in enumerate(_damaged(data)):
+        entry.write_bytes(damaged)
+        evictions = instruments.CACHE_EVICTIONS.total()
+        loaded = load(entry.stem)
+        if (
+            loaded is not None
+            or instruments.CACHE_EVICTIONS.total() != evictions + 1
+            or entry.exists()
+        ):
+            survived.append(index)
+    assert survived == [], f"{len(survived)} damaged entries were not evicted"
+    return entry, data
+
+
+def _samples(data):
+    """An empty, a truncated and a bit-flipped copy of ``data``."""
+    middle = len(data) // 2
+    flipped = data[:middle] + bytes([data[middle] ^ 0x10]) + data[middle + 1 :]
+    return [b"", data[:-1], flipped]
+
+
+def test_every_damaged_score_entry_is_evicted_and_recomputed(tmp_path):
+    graph = build_graph()
+    groups = build_groups(graph)
+    context = AnalysisContext(graph)
+    cache = ResultCache(tmp_path)
+    cold = score_groups(context, groups, cache=cache)
+    entry, data = _assert_every_damage_evicted(tmp_path, cache.load_score_table)
+    for damaged in _samples(data):
+        entry.write_bytes(damaged)
+        recovered = score_groups(context, groups, cache=cache)
+        assert_tables_identical(cold, recovered)
+        # The recomputation rewrote the undamaged entry, byte for byte.
+        assert entry.read_bytes() == data
+
+
+def test_every_damaged_id_sets_entry_is_evicted_and_redrawn(tmp_path):
+    context = AnalysisContext(build_graph())
+    cache = ResultCache(tmp_path)
+    sizes = [3, 6, 2, 9]
+    cold = sample_matched_sets(
+        context, sizes, "random_walk", seed=0, cache=cache
+    )
+    entry, data = _assert_every_damage_evicted(tmp_path, cache.load_id_sets)
+    for damaged in _samples(data):
+        entry.write_bytes(damaged)
+        redrawn = sample_matched_sets(
+            context, sizes, "random_walk", seed=0, cache=cache
+        )
+        assert redrawn == cold
+        assert entry.read_bytes() == data
+
+
+def _entry(header, payload=b""):
+    """A raw entry around ``header`` whose checksum is valid."""
+    from repro.engine.cache import _MAGIC
+
+    if not isinstance(header, bytes):
+        header = json.dumps(header).encode()
+    body = _MAGIC + len(header).to_bytes(4, "little") + header + payload
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def _score_header(shape, dtype="<f8", **fields):
+    return {
+        "fields": {"functions": ["a"], "names": ["x"], "sizes": [1], **fields},
+        "arrays": [["scores", dtype, shape]],
+    }
+
+
+ONE_SCORE = np.array([0.25]).tobytes()
+
+CHECKSUMMED_DAMAGE = {
+    "not json": (b"{not json", ONE_SCORE),
+    "not utf-8": (b"\xff\xfe\x00", ONE_SCORE),
+    "header a list": ([1, 2], ONE_SCORE),
+    "deep nesting": (b"[" * 100_000, b""),
+    "no arrays": ({"fields": {}}, b""),
+    "fields a list": ({**_score_header([1, 1]), "fields": []}, ONE_SCORE),
+    "object dtype": (_score_header([1, 1], dtype="|O"), ONE_SCORE),
+    "string dtype": (_score_header([1, 1], dtype="<U2"), ONE_SCORE),
+    "big-endian": (_score_header([1, 1], dtype=">f8"), ONE_SCORE),
+    "negative dim": (_score_header([-1]), ONE_SCORE),
+    "bool dim": (_score_header([True, True]), ONE_SCORE),
+    "huge dim": (_score_header([2**70, 1]), ONE_SCORE),
+    "bytes short": (_score_header([1, 2]), ONE_SCORE),
+    "bytes over": (_score_header([1, 1]), ONE_SCORE * 2),
+    "shape off names": (_score_header([1, 1], names=["x", "y"]), ONE_SCORE),
+    "sizes off names": (_score_header([1, 1], sizes=[1, 2]), ONE_SCORE),
+    "size a string": (_score_header([1, 1], sizes=["1"]), ONE_SCORE),
+    "integer scores": (_score_header([1, 1], dtype="<i8"), ONE_SCORE),
+}
+
+
+def test_a_checksummed_entry_loads(tmp_path):
+    """The raw entries below differ from this loadable one in one way."""
+    cache = ResultCache(tmp_path)
+    cache._path("k").write_bytes(_entry(_score_header([1, 1]), ONE_SCORE))
+    names, sizes, columns = cache.load_score_table("k")
+    assert (names, sizes, columns["a"].tolist()) == (["x"], [1], [0.25])
+
+
+@pytest.mark.parametrize("damage", sorted(CHECKSUMMED_DAMAGE))
+def test_checksummed_entry_failing_a_check_is_evicted(tmp_path, damage):
+    """A valid checksum is not enough: a bad header, dtype, shape or byte
+    count is damage too, and never raises."""
+    cache = ResultCache(tmp_path)
+    header, payload = CHECKSUMMED_DAMAGE[damage]
+    path = cache._path("k")
+    path.write_bytes(_entry(header, payload))
+    _, _, evictions0 = totals()
+    assert cache.load_score_table("k") is None
+    assert totals()[2] == evictions0 + 1
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "values, offsets",
+    [
+        ([1, 2], [1, 2]),  # offsets do not start at 0
+        ([1, 2], [0, 2, 1, 2]),  # offsets fall
+        ([1, 2], [0, 3]),  # offsets end past the values
+        ([1, 2], []),  # no offsets at all
+    ],
+    ids=["start", "falling", "end", "empty"],
+)
+def test_checksummed_id_sets_with_bad_offsets_are_evicted(
+    tmp_path, values, offsets
+):
+    def id_sets_entry(values, offsets):
+        arrays = {"values": values, "offsets": offsets}
+        header = {
+            "fields": {},
+            "arrays": [[name, "<i8", [len(a)]] for name, a in arrays.items()],
+        }
+        payload = np.array(values + offsets, dtype="<i8").tobytes()
+        return _entry(header, payload)
+
+    cache = ResultCache(tmp_path)
+    path = cache._path("k")
+    path.write_bytes(id_sets_entry([1, 2], [0, 1, 2]))
+    assert [ids.tolist() for ids in cache.load_id_sets("k")] == [[1], [2]]
+    path.write_bytes(id_sets_entry(values, offsets))
+    _, _, evictions0 = totals()
+    assert cache.load_id_sets("k") is None
+    assert totals()[2] == evictions0 + 1
+    assert not path.exists()
+
+
+def test_entries_of_an_older_layout_are_ignored(tmp_path):
+    """A ``.npz`` left by an older layout is never opened: a plain miss,
+    no eviction, and the file stays where it is."""
+    cache = ResultCache(tmp_path)
+    old = tmp_path / "k.npz"
+    old.write_bytes(b"PK\x03\x04 an older entry")
+    hits0, misses0, evictions0 = totals()
+    assert cache.load_score_table("k") is None
+    assert totals() == (hits0, misses0 + 1, evictions0)
+    assert old.exists()
+
+
 def test_no_cache_bypasses_even_with_env(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     graph = build_graph()
     groups = build_groups(graph)
     context = AnalysisContext(graph)
     score_groups(context, groups, cache=False)
-    assert list(tmp_path.glob("*.npz")) == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unsafe_functions_never_cached(tmp_path):
@@ -223,7 +402,7 @@ def test_unsafe_functions_never_cached(tmp_path):
     )
     assert function_tokens(functions) is None
     score_groups(context, groups, functions, cache=ResultCache(tmp_path))
-    assert list(tmp_path.glob("*.npz")) == []
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- matched-set caching ------------------------------------------------------
@@ -264,7 +443,7 @@ def test_unseeded_sampling_never_cached(tmp_path):
     context = AnalysisContext(build_graph())
     cache = ResultCache(tmp_path)
     sample_matched_sets(context, [3, 5], "uniform", cache=cache)
-    assert list(tmp_path.glob("*.npz")) == []
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- token rules --------------------------------------------------------------
@@ -289,6 +468,16 @@ def test_store_roundtrip_preserves_bytes(tmp_path):
     assert names == ["x", "y", "z"] and sizes == [1, 2, 3]
     for name in columns:
         assert loaded[name].tobytes() == columns[name].tobytes()
+
+
+def test_group_names_roundtrip_exactly(tmp_path):
+    """Names travel in the JSON header, so no character is stripped (a
+    fixed-width string array drops trailing NULs)."""
+    cache = ResultCache(tmp_path)
+    names = ["x\x00", "", "\u00e9\ud800", "a,b"]
+    cache.store_score_table("k", names, [1, 2, 3, 4], {"a": np.zeros(4)})
+    loaded, _, _ = cache.load_score_table("k")
+    assert loaded == names
 
 
 def test_empty_id_sets_roundtrip(tmp_path):
@@ -317,12 +506,12 @@ def test_failed_replace_leaves_no_scratch_file(tmp_path, monkeypatch):
 def test_interrupted_write_leaves_no_scratch_file(tmp_path, monkeypatch):
     """An interrupt mid-write propagates and removes the partial file."""
 
-    def interrupted_savez(handle, **arrays):
-        handle.write(b"PK\x03\x04 partial archive")
+    def interrupted_write(handle, fields, arrays):
+        handle.write(b"repro-result-cache 1\n partial entry")
         raise KeyboardInterrupt
 
     cache = ResultCache(tmp_path)
-    monkeypatch.setattr("repro.engine.cache.np.savez", interrupted_savez)
+    monkeypatch.setattr("repro.engine.cache._write_entry", interrupted_write)
     with pytest.raises(KeyboardInterrupt):
         cache.store_score_table("k2", ["x"], [1], {"a": np.array([0.5])})
     monkeypatch.undo()

@@ -8,8 +8,8 @@ Two contracts from the runbook:
 2. **One cache universe** — a CLI ``score_groups`` run with a cache dir
    and an HTTP request for the same query derive the same
    :func:`repro.engine.query_key`, so the service answers from the
-   CLI-written ``.npz`` without ever invoking the engine (and vice
-   versa).
+   CLI-written cache entry without ever invoking the engine (and vice
+   versa).  A damaged entry is evicted and recomputed to the same body.
 """
 
 from __future__ import annotations
@@ -89,9 +89,8 @@ class TestSharedCacheUniverse:
     def test_cli_warmed_cache_serves_without_compute(
         self, service_runner, service_root, tmp_path
     ):
-        """satellite-3 regression: the CLI run's ``.npz`` *is* the
-        service's cache entry — the request below never reaches the
-        micro-batcher."""
+        """The CLI run's cache entry *is* the service's: the request
+        below never reaches the micro-batcher."""
         cache_dir = tmp_path / "shared-cache"
         table = _reference_table(service_root, "alpha", cache=cache_dir)
 
@@ -115,6 +114,31 @@ class TestSharedCacheUniverse:
         # wrote must exist under exactly that address.
         key = headers["etag"].strip('"')
         assert ResultCache(cache_dir).load_score_table(key) is not None
+
+    def test_empty_entry_is_recomputed_to_the_same_body(
+        self, service_runner, service_root, tmp_path
+    ):
+        """An entry emptied on disk (a crash before its bytes reached the
+        disk) is evicted: the GET answers 200 with the body and ETag the
+        undamaged entry gave, and the entry is written again."""
+        cache_dir = tmp_path / "damaged-cache"
+        _reference_table(service_root, "alpha", cache=cache_dir)
+        (entry,) = list(cache_dir.iterdir())
+        data = entry.read_bytes()
+
+        async def scenario(service, client):
+            return await client.request("GET", "/v1/datasets/alpha/score")
+
+        status, headers, body = service_runner(scenario, cache=cache_dir)
+        assert status == 200
+        entry.write_bytes(b"")
+        status, damaged_headers, damaged_body = service_runner(
+            scenario, cache=cache_dir
+        )
+        assert status == 200
+        assert damaged_body == body
+        assert damaged_headers["etag"] == headers["etag"]
+        assert entry.read_bytes() == data
 
     def test_service_warmed_cache_feeds_cli(
         self, service_runner, service_root, tmp_path

@@ -274,6 +274,41 @@ class TestEtagAndCaching:
         before, after, _ = service_runner(scenario)
         assert after == before + 1
 
+    def test_cache_io_histograms_time_a_disk_hit_and_a_write(
+        self, service_runner, tmp_path
+    ):
+        cache_dir = tmp_path / "cache"
+
+        async def warm(service, client):
+            return await client.request("GET", "/v1/datasets/alpha/score")
+
+        assert service_runner(warm, cache=cache_dir)[0] == 200
+
+        async def scenario(service, client):
+            _, _, before = await client.get_json("/v1/metrics")
+            hit = await client.request("GET", "/v1/datasets/alpha/score")
+            post = await client.request(
+                "POST",
+                "/v1/datasets/alpha/score",
+                body=json.dumps(
+                    {"groups": [{"name": "mine", "members": [0, 1, 2, 3]}]}
+                ).encode(),
+            )
+            _, _, after = await client.get_json("/v1/metrics")
+            return hit[0], post[0], before, after
+
+        hit, post, before, after = service_runner(scenario, cache=cache_dir)
+        assert hit == 200 and post == 200
+        for name in ("cache.read", "cache.write"):
+            histogram = after[name]
+            assert histogram["kind"] == "histogram"
+            assert histogram["unit"] == "ms"
+            assert histogram["edges"][0] == 0.01
+            assert histogram["edges"][-1] == 1000
+            # One read (the disk hit; the POST's miss finds no file) and
+            # one write (the POST's computed table).
+            assert histogram["count"] - before[name]["count"] == 1, name
+
     def test_distinct_queries_distinct_etags(self, service_runner):
         async def scenario(service, client):
             _, _, listing = await client.get_json(

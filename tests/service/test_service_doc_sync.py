@@ -63,11 +63,12 @@ def test_endpoint_rows_carry_route_descriptions():
 
 def test_metric_table_matches_service_instruments():
     """The runbook's observability table lists exactly the ``service.*``
-    metrics the registry holds, with matching kinds."""
+    metrics and the ``cache.*`` metrics of the result cache (the
+    service's tier 2) the registry holds, with matching kinds."""
     doc = SERVICE_DOC.read_text(encoding="utf-8")
     section = _section(doc, "## Observability")
     rows = re.findall(
-        r"^\| `(service\.[a-z_.]+)` \| (counter|gauge|histogram) \|",
+        r"^\| `((?:service|cache)\.[a-z_.]+)` \| (counter|gauge|histogram) \|",
         section,
         flags=re.MULTILINE,
     )
@@ -75,7 +76,7 @@ def test_metric_table_matches_service_instruments():
     registered = {
         name: obs.REGISTRY.get(name).kind
         for name in obs.REGISTRY.names()
-        if name.startswith("service.")
+        if name.startswith(("service.", "cache."))
     }
 
     assert set(documented) == set(registered), (

@@ -420,6 +420,23 @@ class TestOutOfCoreCommands:
         ]
         assert counts == [f"groups scored : {len(table)}"]
 
+    def test_score_recovers_from_an_empty_cache_entry(
+        self, capsys, tmp_path, scale_store
+    ):
+        """A cache entry emptied on disk is evicted: the rerun exits 0,
+        prints what the undamaged run printed and rewrites the entry."""
+        cache_dir = tmp_path / "cache"
+        argv = ["score", "--mmap-dir", str(scale_store)]
+        argv += ["--cache-dir", str(cache_dir)]
+        assert cli.main(argv) == 0
+        cold = capsys.readouterr().out
+        (entry,) = list(cache_dir.iterdir())
+        data = entry.read_bytes()
+        entry.write_bytes(b"")
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == cold
+        assert entry.read_bytes() == data
+
     @pytest.mark.parametrize("damage", sorted(DAMAGES))
     def test_damaged_sidecar_exits_with_the_error(
         self, tmp_path, scale_store, damage
