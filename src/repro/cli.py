@@ -594,14 +594,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         forwarded += ["--format", args.format]
     if args.output:
         forwarded += ["--output", args.output]
-    if args.jobs != 1:
-        forwarded += ["--jobs", str(args.jobs)]
-    if args.baseline:
-        forwarded += ["--baseline", args.baseline]
-    if args.write_baseline:
-        forwarded.append("--write-baseline")
-    if args.check_baseline:
-        forwarded.append("--check-baseline")
     return lint_main(forwarded)
 
 
@@ -1034,26 +1026,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint_parser.add_argument(
         "--output", metavar="FILE", help="write the report to FILE"
-    )
-    lint_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="lint files in N worker processes",
-    )
-    lint_parser.add_argument(
-        "--baseline", metavar="FILE", help="baseline file to apply"
-    )
-    lint_parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline from current findings (pruning stale entries)",
-    )
-    lint_parser.add_argument(
-        "--check-baseline",
-        action="store_true",
-        help="fail if the baseline contains stale entries",
     )
     lint_parser.set_defaults(handler=_cmd_lint)
 

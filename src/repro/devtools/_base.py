@@ -1,100 +1,17 @@
-"""Shared vocabulary of the lint engine.
+"""Shared vocabulary of the lint engine: findings, file context, rules.
 
 :class:`Violation`, :class:`FileContext` and the :class:`Rule` base class
-live here (rather than in :mod:`repro.devtools.lint`) so that both the
-stateless per-statement rules (REP0xx, in ``lint.py``) and the
-flow-sensitive rules (REP1xx/REP2xx, in ``rules_flow.py``) can subclass
-them without a circular import: ``lint.py`` aggregates every rule family
-into ``ALL_RULES`` and therefore imports ``rules_flow``, which only ever
-imports this module.
-
-The frozen tables below (mutator names, materializers, global-random
-functions) are the single source of truth shared by both rule families —
-REP201 reuses REP003's graph-mutator table, for instance.
+live here (rather than in :mod:`repro.devtools.lint`) because
+:mod:`repro.devtools.report` renders violations and rule metadata, and
+``lint.py`` imports the report module to render its output.
 """
 
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from pathlib import Path
-
-#: ``random``-module functions that draw from (or reset) global state.
-_GLOBAL_RANDOM_FUNCS = frozenset(
-    {
-        "betavariate",
-        "choice",
-        "choices",
-        "expovariate",
-        "gammavariate",
-        "gauss",
-        "getrandbits",
-        "lognormvariate",
-        "normalvariate",
-        "paretovariate",
-        "randbytes",
-        "randint",
-        "random",
-        "randrange",
-        "sample",
-        "seed",
-        "shuffle",
-        "triangular",
-        "uniform",
-        "vonmisesvariate",
-        "weibullvariate",
-    }
-)
-
-#: ``numpy.random`` attributes that do *not* touch the legacy global state.
-_SAFE_NUMPY_RANDOM = frozenset(
-    {"default_rng", "Generator", "SeedSequence", "BitGenerator", "PCG64"}
-)
-
-#: Private adjacency attributes owned by :mod:`repro.graph`.
-_PRIVATE_ADJ = frozenset({"_adj", "_succ", "_pred"})
-
-#: Method names that mutate a set / dict in place.
-_CONTAINER_MUTATORS = frozenset(
-    {
-        "add",
-        "append",
-        "clear",
-        "difference_update",
-        "discard",
-        "extend",
-        "insert",
-        "intersection_update",
-        "pop",
-        "popitem",
-        "remove",
-        "setdefault",
-        "symmetric_difference_update",
-        "update",
-    }
-)
-
-#: Graph methods that mutate structure (REP003 and REP201 share this).
-_GRAPH_MUTATORS = frozenset(
-    {
-        "add_node",
-        "add_nodes_from",
-        "add_edge",
-        "add_edges_from",
-        "remove_node",
-        "remove_edge",
-    }
-)
-
-#: Callables that materialize an iterable into an independent container.
-_MATERIALIZERS = frozenset({"list", "set", "sorted", "tuple", "frozenset", "dict"})
-
-#: ``random.Random`` / ``numpy.random.Generator`` methods that *consume*
-#: randomness from an ordered argument (REP101's sinks).
-_RNG_CONSUMERS = frozenset(
-    {"choice", "choices", "sample", "shuffle", "permutation", "permuted"}
-)
 
 
 @dataclass(frozen=True)
@@ -112,7 +29,7 @@ class Violation:
         return f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"
 
     def as_dict(self) -> dict[str, object]:
-        """JSON-ready representation (``--format json`` / baselines)."""
+        """JSON-ready representation (``--format json``)."""
         return {
             "rule": self.rule_id,
             "message": self.message,
@@ -124,15 +41,9 @@ class Violation:
 
 @dataclass(frozen=True)
 class FileContext:
-    """Per-file information shared by every rule.
-
-    ``options`` carries config-derived knobs rules may honour (currently
-    ``value_objects`` for REP203); rules must tolerate missing keys.
-    """
+    """The file a rule is checking."""
 
     path: str
-    lines: tuple[str, ...]
-    options: Mapping[str, object] = field(default_factory=dict)
 
     @property
     def path_parts(self) -> tuple[str, ...]:

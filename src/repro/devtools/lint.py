@@ -3,21 +3,19 @@
 The generic linters the ecosystem ships cannot know that this codebase
 (a) must be seed-reproducible end to end, (b) owns a hand-rolled graph
 substrate whose private adjacency dicts may only be *mutated* inside
-:mod:`repro.graph`, and (c) freezes graphs exactly once into
-:class:`~repro.engine.AnalysisContext` snapshots.  This module encodes
-those rules: the stateless per-statement family (REP001–REP006) and the
-documentation family (REP301) live here, and the flow-sensitive families
-(REP1xx RNG discipline, REP2xx freeze-once contracts) in
-:mod:`repro.devtools.rules_flow` on top of the
-:mod:`repro.devtools.dataflow` core.  Every rule sees one file at a time.
+:mod:`repro.graph`, and (c) reproduces the paper's scores, which float
+equality would make fragile.  This module encodes those rules: the
+stateless per-statement family (REP001–REP006) and the documentation
+rule (REP301).  Every rule sees one statement tree of one file at a
+time; hazards that need data flow or cross files are guarded by runtime
+checks and tests instead (the evidence table in ``docs/LINTING.md``).
 
 Usage::
 
     python -m repro.devtools.lint src/            # lint a tree
     repro lint src/                               # same, via the CLI
-    repro lint --explain REP101                   # rule rationale
+    repro lint --explain REP001                   # rule rationale
     repro lint src --format sarif --output lint.sarif
-    repro lint src --jobs 4                       # parallel over files
 
 Every rule is a class with a stable id (``REP001`` …), a one-line
 ``summary``, and a docstring explaining the rationale.  Violations can be
@@ -31,15 +29,12 @@ themselves diagnosed as ``REP000``.  Project-wide configuration lives in
     [tool.repro.lint]
     select = ["REP001", "REP002"]   # default: every rule
     ignore = ["REP004"]
-    value-objects = ["GroupStats"]  # REP203's checked constructors
 
     [tool.repro.lint.per-path-ignores]
     "src/repro/graph/*" = ["REP002"]
 
-Known findings can be ratcheted in ``.repro-lint-baseline.json`` (see
-:mod:`repro.devtools.baseline`); only regressions then fail the gate.
-The linter exits non-zero when any unsuppressed, unbaselined violation
-remains, so it can gate PRs (see ``scripts/check.sh``).
+The linter exits non-zero when any unsuppressed violation remains, so it
+can gate PRs (see ``scripts/check.sh``).
 """
 
 from __future__ import annotations
@@ -49,32 +44,14 @@ import ast
 import dataclasses
 import difflib
 import fnmatch
-import multiprocessing
 import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.devtools._base import (
-    _CONTAINER_MUTATORS,
-    _GLOBAL_RANDOM_FUNCS,
-    _GRAPH_MUTATORS,
-    _MATERIALIZERS,
-    _PRIVATE_ADJ,
-    _SAFE_NUMPY_RANDOM,
-    FileContext,
-    Rule,
-    Violation,
-)
-from repro.devtools.baseline import (
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
+from repro.devtools._base import FileContext, Rule, Violation
 from repro.devtools.report import FORMATS, render
-from repro.devtools.rules_flow import FLOW_RULES
 
 try:
     import tomllib
@@ -93,13 +70,81 @@ __all__ = [
     "MissingAllRule",
     "BroadExceptRule",
     "DocstringCoverageRule",
-    "FLOW_RULES",
     "ALL_RULES",
     "lint_source",
     "lint_paths",
     "main",
 ]
 
+#: ``random``-module functions that draw from (or reset) global state.
+_GLOBAL_RANDOM_FUNCS = frozenset(
+    {
+        "betavariate",
+        "choice",
+        "choices",
+        "expovariate",
+        "gammavariate",
+        "gauss",
+        "getrandbits",
+        "lognormvariate",
+        "normalvariate",
+        "paretovariate",
+        "randbytes",
+        "randint",
+        "random",
+        "randrange",
+        "sample",
+        "seed",
+        "shuffle",
+        "triangular",
+        "uniform",
+        "vonmisesvariate",
+        "weibullvariate",
+    }
+)
+
+#: ``numpy.random`` attributes that do *not* touch the legacy global state.
+_SAFE_NUMPY_RANDOM = frozenset(
+    {"default_rng", "Generator", "SeedSequence", "BitGenerator", "PCG64"}
+)
+
+#: Private adjacency attributes owned by :mod:`repro.graph`.
+_PRIVATE_ADJ = frozenset({"_adj", "_succ", "_pred"})
+
+#: Method names that mutate a set / dict in place.
+_CONTAINER_MUTATORS = frozenset(
+    {
+        "add",
+        "append",
+        "clear",
+        "difference_update",
+        "discard",
+        "extend",
+        "insert",
+        "intersection_update",
+        "pop",
+        "popitem",
+        "remove",
+        "setdefault",
+        "symmetric_difference_update",
+        "update",
+    }
+)
+
+#: Graph methods that mutate structure.
+_GRAPH_MUTATORS = frozenset(
+    {
+        "add_node",
+        "add_nodes_from",
+        "add_edge",
+        "add_edges_from",
+        "remove_node",
+        "remove_edge",
+    }
+)
+
+#: Callables that materialize an iterable into an independent container.
+_MATERIALIZERS = frozenset({"list", "set", "sorted", "tuple", "frozenset", "dict"})
 
 #: Tolerates whitespace before the bracket (``# repro:noqa [REP001]``);
 #: bracket contents are parsed and *validated*, never silently trusted.
@@ -613,7 +658,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     FloatEqualityRule,
     MissingAllRule,
     BroadExceptRule,
-    *FLOW_RULES,
     DocstringCoverageRule,
 )
 
@@ -627,7 +671,6 @@ class LintConfig:
     select: tuple[str, ...] = tuple(rule.id for rule in ALL_RULES)
     ignore: tuple[str, ...] = ()
     per_path_ignores: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    value_objects: tuple[str, ...] = ("GroupStats",)
     root: Path | None = None
 
     @classmethod
@@ -663,12 +706,10 @@ class LintConfig:
             pattern: tuple(rules)
             for pattern, rules in table.get("per-path-ignores", {}).items()
         }
-        value_objects = tuple(table.get("value-objects", ("GroupStats",)))
         return cls(
             select=select,
             ignore=ignore,
             per_path_ignores=per_path,
-            value_objects=value_objects,
             root=pyproject.parent,
         )
 
@@ -728,7 +769,7 @@ def _suppressed(lines: Sequence[str], lineno: int, rule_id: str) -> bool:
 def _check_noqa_ids(lines: Sequence[str], path: str) -> list[Violation]:
     """REP000 diagnostics for unknown rule ids inside noqa comments.
 
-    A typo'd id (``noqa[REP101x]``) would otherwise read as a *working*
+    A typo'd id (``noqa[REP001x]``) would otherwise read as a *working*
     suppression to a human while suppressing nothing — or,
     worse, a stale id keeps riding along forever.  These diagnostics are
     never themselves suppressible.
@@ -778,11 +819,7 @@ def lint_source(
             )
         ]
     lines = tuple(source.splitlines())
-    ctx = FileContext(
-        path=path,
-        lines=lines,
-        options={"value_objects": config.value_objects},
-    )
+    ctx = FileContext(path=path)
     path_ignored = config.path_ignored_rules(path)
     violations: list[Violation] = _check_noqa_ids(lines, path)
     for rule in config.active_rules():
@@ -805,42 +842,20 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
             yield path
 
 
-def _lint_one_file(item: tuple[str, LintConfig]) -> list[Violation]:
-    """Worker for the multiprocessing pool (must be top-level picklable)."""
-    path, config = item
-    source = Path(path).read_text(encoding="utf-8")
-    return lint_source(source, path, config)
-
-
 def lint_paths(
-    paths: Iterable[str | Path],
-    config: LintConfig | None = None,
-    *,
-    jobs: int = 1,
+    paths: Iterable[str | Path], config: LintConfig | None = None
 ) -> list[Violation]:
-    """Lint every ``.py`` file under ``paths``.
-
-    With ``jobs > 1`` files are linted in a process pool; results are
-    merged in the (sorted) file-iteration order, so the output is
-    byte-identical to a single-process run.
-    """
+    """Lint every ``.py`` file under ``paths``, in sorted file order."""
     from repro import obs
     from repro.obs import instruments
 
     config = config if config is not None else LintConfig()
     with obs.span("lint.run"):
         files = [str(path) for path in iter_python_files(paths)]
-        if jobs > 1 and len(files) > 1:
-            items = [(path, config) for path in files]
-            with multiprocessing.Pool(
-                processes=min(jobs, len(files))
-            ) as pool:
-                per_file = pool.map(_lint_one_file, items)
-        else:
-            per_file = [_lint_one_file((path, config)) for path in files]
         violations: list[Violation] = []
-        for result in per_file:
-            violations.extend(result)
+        for path in files:
+            source = Path(path).read_text(encoding="utf-8")
+            violations.extend(lint_source(source, path, config))
         instruments.LINT_FILES.inc(len(files))
         instruments.LINT_VIOLATIONS.inc(len(violations))
     return violations
@@ -938,43 +953,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         metavar="FILE",
         help="write the report to FILE instead of stdout",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="lint files in N worker processes (output stays deterministic)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=f"baseline file (default: <root>/{DEFAULT_BASELINE_NAME})",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help=(
-            "rewrite the baseline from current findings (pruning entries "
-            "that no longer fire) and exit"
-        ),
-    )
-    parser.add_argument(
-        "--check-baseline",
-        action="store_true",
-        help=(
-            "fail if the baseline contains stale entries that no longer "
-            "match any finding (ratchet enforcement)"
-        ),
-    )
     args = parser.parse_args(argv)
     if args.list_rules:
         _print_rule_catalogue()
         return 0
     if args.explain:
         return _explain_rule(args.explain.strip())
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
     if args.no_config:
         config = LintConfig()
     else:
@@ -1000,58 +984,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: no such file or directory: {entry}", file=sys.stderr)
         return 2
 
-    violations = lint_paths(args.paths, config, jobs=args.jobs)
-
-    baseline_path = (
-        Path(args.baseline)
-        if args.baseline
-        else (config.root or Path.cwd()) / DEFAULT_BASELINE_NAME
-    )
-    entries = load_baseline(baseline_path)
-    if args.write_baseline:
-        written = write_baseline(violations, baseline_path, previous=entries)
-        pruned = sorted(set(entries) - set(written))
-        print(f"wrote {len(written)} baseline entr(y/ies) to {baseline_path}")
-        if pruned:
-            print(f"pruned {len(pruned)} stale entr(y/ies):")
-            for key in pruned:
-                print(f"  {key}")
-        return 0
-    remaining, stale = apply_baseline(violations, entries)
-    if args.check_baseline:
-        if stale:
-            print(
-                f"error: {len(stale)} stale baseline entr(y/ies) in "
-                f"{baseline_path}; tighten with --write-baseline:",
-                file=sys.stderr,
-            )
-            for key in stale:
-                print(f"  {key}", file=sys.stderr)
-            return 1
-        print(
-            f"baseline {baseline_path} is tight "
-            f"({len(entries)} entr(y/ies), none stale)"
-        )
-        return 0
-    for key in stale:
-        print(
-            f"warning: stale baseline entry {key!r} — no findings remain; "
-            "tighten the baseline with --write-baseline",
-            file=sys.stderr,
-        )
-
-    document = render(remaining, args.format, rules=config.active_rules())
+    violations = lint_paths(args.paths, config)
+    document = render(violations, args.format, rules=config.active_rules())
     if args.output:
         Path(args.output).write_text(document, encoding="utf-8")
-        if remaining:
+        if violations:
             print(
-                f"{len(remaining)} violation(s) found (report: {args.output})"
+                f"{len(violations)} violation(s) found (report: {args.output})"
             )
     else:
         sys.stdout.write(document)
-        if remaining and args.format == "text":
-            print(f"{len(remaining)} violation(s) found")
-    return 1 if remaining else 0
+        if violations and args.format == "text":
+            print(f"{len(violations)} violation(s) found")
+    return 1 if violations else 0
 
 
 if __name__ == "__main__":

@@ -1,8 +1,7 @@
 """Lint output formats: plain text, JSON, and SARIF 2.1.0.
 
 Every formatter is a pure function from a sorted violation list to a
-string, so ``--jobs N`` parallel runs produce byte-identical output to
-single-process runs: the merge step sorts, then formats once.
+string, so the same findings always render to the same bytes.
 """
 
 from __future__ import annotations

@@ -195,8 +195,26 @@ class AnalysisContext:
     def ensure(
         cls, source: "Graph | DiGraph | AnalysisContext"
     ) -> "AnalysisContext":
-        """Return ``source`` if already a context, else freeze it once."""
+        """Return ``source`` if already a context, else freeze it once.
+
+        A context whose source graph has gained or lost nodes or edges
+        since its freeze no longer describes that graph, so it raises
+        :class:`GraphError` instead of serving stale scores and samples.
+        """
         if isinstance(source, AnalysisContext):
+            graph = source.graph
+            if graph is not None and (
+                graph.number_of_nodes() != source.num_vertices
+                or graph.number_of_edges() != source.num_edges
+            ):
+                raise GraphError(
+                    f"graph {source.display_name or '(unnamed)'} was mutated "
+                    f"after its freeze: {source.num_vertices} nodes and "
+                    f"{source.num_edges} edges then, "
+                    f"{graph.number_of_nodes()} and "
+                    f"{graph.number_of_edges()} now; freeze the final graph "
+                    "into a new AnalysisContext"
+                )
             return source
         return cls(source)
 

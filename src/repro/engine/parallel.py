@@ -22,7 +22,8 @@ immutable by contract — so parallelism here is a pure fan-out:
 * sampling chunks receive per-replicate child seeds derived with
   :func:`repro.sampling.seeds.spawn_child_seeds` — replicate ``i`` sees
   the same stream whichever process runs it (live RNG objects must not
-  cross the boundary; lint rule ``REP105`` enforces this) — and return
+  cross the boundary; ``test_parallel_sampling_replays_serial_seed_for_seed``
+  checks the replay) — and return
   their sets as flat ids with offsets, scored by the worker that drew
   them when the caller asks (:meth:`ParallelExecutor.draw`).
 

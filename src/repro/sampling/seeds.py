@@ -15,8 +15,9 @@ many:
 
 and both produce byte-identical replicates because replicate ``i`` sees
 exactly the same stream either way.  Any module that fans replicates out
-must derive seeds here — passing a live RNG object across a process
-boundary is flagged by lint rule ``REP105``.
+must derive seeds here — a live RNG object passed across a process
+boundary would make the pooled draws differ from the serial ones, which
+``tests/engine/test_parallel.py`` compares seed for seed.
 
 :func:`spawn_child_seeds` does not build one ``SeedSequence`` per child.
 A child's entropy is the parent's run entropy, zero-padded to the pool

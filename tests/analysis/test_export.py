@@ -70,3 +70,25 @@ class TestExportFigures:
         )
         assert target.is_dir()
         assert written
+
+
+def test_export_freezes_each_dataset_once(
+    tmp_path, small_circles_dataset, small_community_dataset
+):
+    """The Fig. 5 and Fig. 6 drivers share the circles graph's context, so
+    a whole export freezes one context per dataset."""
+    from repro import obs
+    from repro.obs import instruments
+
+    datasets = [small_circles_dataset, small_community_dataset]
+    obs.REGISTRY.reset()
+    obs.enable_metrics()
+    try:
+        export_figures(
+            datasets[0], datasets[1:], tmp_path, seed=0, clustering_sample=100
+        )
+        frozen = instruments.CONTEXTS_FROZEN.total()
+    finally:
+        obs.disable()
+        obs.REGISTRY.reset()
+    assert frozen == len(datasets)

@@ -83,9 +83,16 @@ def test_pipeline_is_deterministic(name):
 
 
 def test_different_seeds_give_different_fingerprints():
-    one = check_pipeline("sampling.random_walk", seed=1)
-    two = check_pipeline("sampling.random_walk", seed=2)
-    assert one.fingerprint != two.fingerprint
+    """Every registered pipeline reads its seed: seeds 0, 1 and 2 do not
+    all give the same output.  Two fixed seeds may agree (Louvain and
+    label propagation often find the same partition), so only all three
+    agreeing fails."""
+    seed_blind = [
+        name
+        for name in sorted(PIPELINES)
+        if len({fingerprint(PIPELINES[name](seed)) for seed in (0, 1, 2)}) == 1
+    ]
+    assert seed_blind == []
 
 
 def test_nondeterministic_pipeline_is_caught():

@@ -163,15 +163,6 @@ def test_missing_tomllib_stays_quiet_without_lint_table(
     assert capsys.readouterr().err == ""
 
 
-def test_value_objects_knob_round_trips(tmp_path):
-    pyproject = tmp_path / "pyproject.toml"
-    pyproject.write_text(
-        '[tool.repro.lint]\nvalue-objects = ["GroupStats", "ScoreRow"]\n'
-    )
-    config = LintConfig.from_pyproject(pyproject)
-    assert config.value_objects == ("GroupStats", "ScoreRow")
-
-
 def test_repo_tree_is_lint_clean():
     """The acceptance gate: src/ has zero unsuppressed violations under
     the repo's own pyproject configuration."""

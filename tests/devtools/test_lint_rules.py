@@ -326,7 +326,7 @@ def test_noqa_with_interior_whitespace_in_list():
         "__all__ = []\n"
         "\n"
         "def f(xs):\n"
-        "    return random.choice(xs)  # repro: noqa[ REP001 , REP101 ]\n"
+        "    return random.choice(xs)  # repro: noqa[ REP001 , REP006 ]\n"
     )
     assert rule_ids(source) == []
 

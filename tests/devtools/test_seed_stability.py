@@ -3,10 +3,12 @@
 ``random_walk_set`` (and the BFS/forest-fire samplers) used to draw from
 ``list(<set>)``, whose order for string-labelled nodes depends on
 ``PYTHONHASHSEED`` — so two runs of the *same seeded pipeline* in two
-interpreters produced different vertex sets.  The samplers now order
-candidate sets with :func:`repro.graph.convert.stable_sorted` before
-consuming randomness; this test proves the property end to end by
-fingerprinting the pipelines in subprocesses under different hash seeds.
+interpreters produced different vertex sets; Louvain and label
+propagation broke ties the same way.  They now order candidate sets
+with :func:`repro.graph.convert.stable_sorted` before consuming
+randomness; this test proves the property end to end by fingerprinting
+every fast registered pipeline in subprocesses under different hash
+seeds.
 """
 
 from __future__ import annotations
@@ -18,24 +20,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.devtools.determinism import FAST_PIPELINES
 from repro.graph.convert import stable_sorted
 
 _SCRIPT = """
-from repro.devtools.determinism import PIPELINES, fingerprint
+from repro.devtools.determinism import FAST_PIPELINES, PIPELINES, fingerprint
 
-for name in (
-    "sampling.random_walk",
-    "sampling.bfs_ball",
-    "sampling.forest_fire",
-    "engine.random_walk",
-    "engine.random_walk_batch",
-    "engine.bfs_ball",
-    "engine.uniform",
-    "nullmodel.viger_latapy",
-    "nullmodel.double_edge_swap",
-    "detection.louvain",
-    "scoring.avg_odf",
-):
+for name in FAST_PIPELINES:
     print(name, fingerprint(PIPELINES[name](3)))
 """
 
@@ -60,11 +51,14 @@ def _run_with_hash_seed(hash_seed: str) -> str:
 def test_samplers_stable_across_hash_seeds(other_seed):
     """Same pipeline seed => same output, regardless of PYTHONHASHSEED.
 
-    The pipelines run on a string-labelled graph, where raw set iteration
-    order is hash-randomized — exactly the condition under which the old
-    samplers leaked order dependence into their output.
+    Every fast registered pipeline runs, on a string-labelled graph where
+    raw set iteration order is hash-randomized — exactly the condition
+    under which the old samplers and detectors leaked order dependence
+    into their output.
     """
-    assert _run_with_hash_seed("0") == _run_with_hash_seed(other_seed)
+    reference = _run_with_hash_seed("0")
+    assert [line.split()[0] for line in reference.splitlines()] == FAST_PIPELINES
+    assert reference == _run_with_hash_seed(other_seed)
 
 
 def test_stable_sorted_orders_homogeneous_nodes():

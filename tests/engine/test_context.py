@@ -44,6 +44,44 @@ class TestFreezing:
         assert context.num_edges == m
         assert 99 not in context
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda graph: graph.add_edge(1, 99),
+            lambda graph: graph.add_node(99),
+            lambda graph: graph.remove_edge(*next(iter(graph.edges))),
+        ],
+        ids=["add_edge", "add_node", "remove_edge"],
+    )
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_ensure_rejects_a_graph_mutated_after_its_freeze(
+        self, mutate, directed
+    ):
+        from repro.engine.samplers import sample_matched_sets
+
+        graph = (DiGraph if directed else Graph)(
+            [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
+        )
+        context = AnalysisContext(graph)
+        assert AnalysisContext.ensure(context) is context
+        mutate(graph)
+        with pytest.raises(GraphError, match="mutated after its freeze"):
+            AnalysisContext.ensure(context)
+        with pytest.raises(GraphError, match="mutated after its freeze"):
+            sample_matched_sets(context, [2], "uniform", seed=0)
+
+    def test_ensure_skips_contexts_without_a_graph(self, triangle_graph):
+        context = AnalysisContext(triangle_graph)
+        parts = AnalysisContext.from_parts(
+            context.csr,
+            None,
+            None,
+            num_edges=context.num_edges,
+            is_directed=False,
+        )
+        triangle_graph.add_edge(1, 99)
+        assert AnalysisContext.ensure(parts) is parts
+
     def test_directed_has_three_orientations(self, small_digraph):
         context = AnalysisContext(small_digraph)
         assert context.is_directed

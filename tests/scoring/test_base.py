@@ -159,3 +159,32 @@ class TestProperties:
         assert stats.m_C == 2 * undirected_stats.m_C
         assert stats.c_C == 2 * undirected_stats.c_C
         assert stats.degree_sum == 2 * stats.m_C + stats.c_C
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_value_objects_hold_no_live_graph(directed):
+    """GroupStats and GroupStatsBatch are frozen snapshots: none of them,
+    nor a batch row, keeps the graph it was computed from."""
+    from repro.engine import AnalysisContext, batch_group_stats_columns
+
+    graph = (DiGraph if directed else Graph)(
+        [(f"v{i}", f"v{(i * 7 + 3) % 20}") for i in range(20)]
+        + [(f"v{i}", f"v{(i + 1) % 20}") for i in range(20)]
+    )
+    groups = [[f"v{i}" for i in range(start, start + 5)] for start in (0, 5, 12)]
+    batch = batch_group_stats_columns(
+        AnalysisContext(graph), groups, include_internal_adjacency=True
+    )
+    batch.members  # noqa: B018 - fills the cached member labels
+    values = [
+        compute_group_stats(graph, groups[0], include_internal_adjacency=True),
+        batch,
+        *(batch.row(i) for i in range(len(batch))),
+    ]
+    for value in values:
+        held = [
+            name
+            for name, field in vars(value).items()
+            if isinstance(field, (Graph, DiGraph))
+        ]
+        assert held == [], type(value).__name__

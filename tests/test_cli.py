@@ -192,6 +192,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "REP001" in out and "REP006" in out
 
+    @pytest.mark.parametrize(
+        "flag",
+        [["--jobs", "2"], ["--baseline", "b.json"], ["--write-baseline"],
+         ["--check-baseline"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_lint_rejects_retired_flags(self, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["lint", "--list-rules", *flag])
+        assert exit_info.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
     def test_check_named_pipeline(self, capsys):
         assert cli.main(["check", "synth.erdos_renyi"]) == 0
         out = capsys.readouterr().out
