@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# One-command gate. Correctness first: the custom lint pass (findings,
-# then a SARIF artifact), the seed-determinism check on the fast
-# pipelines under two hash seeds (outputs must match), the output ledger
-# (scripts/reproduce_all.sh under PYTHONHASHSEED 11 and 97, each run
-# compared with tests/golden/ledger.csv) and the tier-1 test suite. Then
+# One-command gate. Correctness first: the custom lint pass
+# (python -m repro.devtools.lint, four rules; findings, then a SARIF
+# artifact), the seed-determinism check on the fast pipelines under two
+# hash seeds (outputs must match), the output ledger
+# (scripts/reproduce_all.sh, one Python process per run, under
+# PYTHONHASHSEED 11 and 97, each run compared with
+# tests/golden/ledger.csv) and the tier-1 test suite. Then
 # the timing steps: a byte-compile of src/ (so the timing smokes do not
 # recompile stale modules in every fresh process when
 # PYTHONDONTWRITEBYTECODE is set), parallel-identity smoke,
@@ -22,10 +24,10 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 BENCH_OUT=bench-smoke
 mkdir -p "$BENCH_OUT"
 
-echo "== repro lint (every rule) =="
+echo "== lint (every rule) =="
 python -m repro.devtools.lint src
 
-echo "== repro lint SARIF artifact (lint.sarif) =="
+echo "== lint SARIF artifact (lint.sarif) =="
 python -m repro.devtools.lint src --format sarif --output lint.sarif
 
 echo "== determinism check (fast pipelines, PYTHONHASHSEED=5 vs 47) =="

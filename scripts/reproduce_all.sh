@@ -14,6 +14,13 @@
 # exits 1, printing the rows that differ, unless it equals the committed
 # ledger.
 #
+# All commands run through repro.cli.main in one Python process, and
+# each seed-3 corpus is built once and shared by every command that
+# reads it. No command may change a corpus it is given: if a row ever
+# differs from the ledger, a command leaked state into a shared corpus,
+# and the fix belongs in that command or in this script, never in the
+# ledger.
+#
 # To re-record after an intended output change, copy DIR/ledger.csv over
 # tests/golden/ledger.csv and name each changed row, with its reason, in
 # CHANGES.md. scripts/check.sh runs this under two PYTHONHASHSEEDs; the
@@ -30,21 +37,39 @@ export PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
 # An inherited store would replace the dataset `repro score` builds.
 unset REPRO_MMAP_DIR
 
-repro() { python -m repro.cli "$@"; }
-
-mkdir -p stdout
-repro --seed 3 export -o export > /dev/null
-for command in score compare robustness overlap degree-fit classify \
-        ego-view detect; do
-    repro --seed 3 "$command" > "stdout/$command.txt"
-done
-repro --seed 3 characterize google_plus > stdout/characterize-google_plus.txt
-repro freeze --scale 20000 -o store --force > /dev/null
-repro score --mmap-dir store > stdout/score-mmap.txt
-
 python - <<'EOF'
+import contextlib
+import functools
 import hashlib
+import os
+import sys
 from pathlib import Path
+
+from repro import cli
+
+cli._BUILDERS = {
+    name: functools.cache(build) for name, build in cli._BUILDERS.items()
+}
+
+
+def repro(argv, stdout):
+    """Run one `repro` command with its stdout written to `stdout`."""
+    with open(stdout, "w", encoding="utf-8") as sink:
+        with contextlib.redirect_stdout(sink):
+            code = cli.main(argv)
+    if code:
+        sys.exit(f"repro {' '.join(argv)} exited with status {code}")
+
+
+Path("stdout").mkdir(exist_ok=True)
+repro(["--seed", "3", "export", "-o", "export"], os.devnull)
+for command in ("score", "compare", "robustness", "overlap", "degree-fit",
+                "classify", "ego-view", "detect"):
+    repro(["--seed", "3", command], f"stdout/{command}.txt")
+repro(["--seed", "3", "characterize", "google_plus"],
+      "stdout/characterize-google_plus.txt")
+repro(["freeze", "--scale", "20000", "-o", "store", "--force"], os.devnull)
+repro(["score", "--mmap-dir", "store"], "stdout/score-mmap.txt")
 
 rows = ["output,sha256"]
 for folder in ("export", "stdout", "store"):

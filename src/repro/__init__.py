@@ -16,8 +16,6 @@ Quickstart::
         print(name, row)
 """
 
-import os as _os
-
 from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
@@ -109,17 +107,3 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 __all__ = ["__version__", *_EXPORTS]
-
-# Opt-in runtime invariant checking: REPRO_CHECK_INVARIANTS=1 wraps every
-# mutating substrate method with a post-condition validation pass.  The
-# import is deferred so the devtools layer costs nothing when disabled.
-if _os.environ.get("REPRO_CHECK_INVARIANTS", "").strip().lower() not in (
-    "",
-    "0",
-    "false",
-    "no",
-    "off",
-):
-    from repro.devtools.invariants import install_invariant_checks as _install
-
-    _install()

@@ -16,8 +16,6 @@ corpora (see DESIGN.md for the experiment index):
 ``freeze``         stream a dataset into an on-disk CSR store (out-of-core)
 ``delta``          incremental re-freeze + dirty-group rescore of a store
 ``serve``          async HTTP score service over frozen stores (SERVICE.md)
-``lint``           repo-specific AST lint pass (repro.devtools.lint)
-``check``          seed-determinism check of the stochastic pipelines
 ``trace``          run any other subcommand under the tracer (repro.obs)
 =================  ========================================================
 
@@ -582,21 +580,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.devtools.lint import main as lint_main
-
-    forwarded = list(args.paths)
-    if args.list_rules:
-        forwarded.append("--list-rules")
-    if args.explain:
-        forwarded += ["--explain", args.explain]
-    if args.format != "text":
-        forwarded += ["--format", args.format]
-    if args.output:
-        forwarded += ["--output", args.output]
-    return lint_main(forwarded)
-
-
 def _write_trace(
     tracer: "obs.Tracer", trace_out: str, trace_format: str = "jsonl"
 ) -> None:
@@ -634,18 +617,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         obs.disable()
     _write_trace(tracer, args.trace_out, args.trace_format)
     return code
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.devtools.determinism import main as determinism_main
-
-    forwarded = list(args.pipelines)
-    forwarded += ["--seed", str(args.seed if args.seed is not None else 0)]
-    if args.fast:
-        forwarded.append("--fast")
-    if args.list:
-        forwarded.append("--list")
-    return determinism_main(forwarded)
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -1002,47 +973,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="the repro subcommand to run, with its arguments",
     )
     trace_parser.set_defaults(handler=_cmd_trace)
-
-    lint_parser = commands.add_parser(
-        "lint", help="repo-specific AST lint pass (rule ids: --list-rules)"
-    )
-    lint_parser.add_argument(
-        "paths", nargs="*", default=["src"], help="files or directories"
-    )
-    lint_parser.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalogue"
-    )
-    lint_parser.add_argument(
-        "--explain",
-        metavar="REPxxx",
-        help="print one rule's rationale with a bad/good example "
-        "('all' prints the whole catalogue)",
-    )
-    lint_parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format (default: text)",
-    )
-    lint_parser.add_argument(
-        "--output", metavar="FILE", help="write the report to FILE"
-    )
-    lint_parser.set_defaults(handler=_cmd_lint)
-
-    check_parser = commands.add_parser(
-        "check", help="seed-determinism check of the stochastic pipelines"
-    )
-    check_parser.add_argument(
-        "pipelines", nargs="*", help="pipeline names (default: all)"
-    )
-    check_parser.add_argument(
-        "--fast", action="store_true", help="only the fast gate pipelines"
-    )
-    check_parser.add_argument(
-        "--list", action="store_true", help="list registered pipelines"
-    )
-    check_parser.set_defaults(handler=_cmd_check)
-
     return parser
 
 

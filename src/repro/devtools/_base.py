@@ -11,7 +11,6 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 from dataclasses import dataclass
-from pathlib import Path
 
 
 @dataclass(frozen=True)
@@ -28,16 +27,6 @@ class Violation:
         """Render in the conventional ``path:line:col: ID message`` shape."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"
 
-    def as_dict(self) -> dict[str, object]:
-        """JSON-ready representation (``--format json``)."""
-        return {
-            "rule": self.rule_id,
-            "message": self.message,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-        }
-
 
 @dataclass(frozen=True)
 class FileContext:
@@ -45,29 +34,18 @@ class FileContext:
 
     path: str
 
-    @property
-    def path_parts(self) -> tuple[str, ...]:
-        return Path(self.path).parts
-
-    @property
-    def module_basename(self) -> str:
-        return Path(self.path).name
-
 
 class Rule:
     """Base class for lint rules.
 
     Subclasses set :attr:`id` / :attr:`summary` and implement
     :meth:`check`, yielding :class:`Violation` objects.  The docstring of
-    each subclass is its rationale and is printed by ``--list-rules`` and
-    ``--explain``; :attr:`example_bad` / :attr:`example_good` are the
-    minimal counter-example pair shown by ``--explain``.
+    each subclass is its rationale: ``--list-rules`` prints its first
+    line and the SARIF rule catalogue carries all of it.
     """
 
     id: str = "REP000"
     summary: str = ""
-    example_bad: str = ""
-    example_good: str = ""
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Violation]:
         raise NotImplementedError

@@ -16,7 +16,6 @@ package (the ``engine/`` samplers, ``nullmodel/``, ``detection/``,
 
     python -m repro.devtools.determinism            # check all
     python -m repro.devtools.determinism --fast     # skip slow pipelines
-    repro check                                     # same, via the CLI
 
 Note: two runs inside one process share a hash seed, so divergence
 *across* interpreter invocations (``PYTHONHASHSEED``) is covered by the

@@ -19,24 +19,17 @@ conductance and Modularity for every group scored afterwards.
   edge counts that match the adjacency totals, and a median equal to a
   recomputation from the degree array.
 
-Setting ``REPRO_CHECK_INVARIANTS=1`` before importing :mod:`repro` wraps
-every mutating substrate method with a post-condition check (see
-:func:`install_invariant_checks`).  Bulk operations validate once at the
-end, not per element, and graphs larger than
-``REPRO_CHECK_INVARIANTS_LIMIT`` nodes+edges (default 20000) are skipped
-to keep the mode usable on full experiment runs.
+Nothing in the library calls the validators; the tests call them on
+substrates they corrupt on purpose.
 """
 
 from __future__ import annotations
 
-import functools
-import os
 from typing import Any
 
 import numpy as np
 
 from repro.exceptions import InvariantViolation
-from repro.graph import convert as _convert_module
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
@@ -48,15 +41,7 @@ __all__ = [
     "validate_csr",
     "validate_context",
     "validate_conversion",
-    "install_invariant_checks",
-    "uninstall_invariant_checks",
-    "checks_installed",
-    "checks_enabled_from_env",
 ]
-
-_ENV_FLAG = "REPRO_CHECK_INVARIANTS"
-_ENV_LIMIT = "REPRO_CHECK_INVARIANTS_LIMIT"
-_DEFAULT_LIMIT = 20_000
 
 
 def _fail(message: str) -> None:
@@ -261,8 +246,7 @@ def validate(obj: Any) -> None:
     Accepts :class:`Graph`, :class:`DiGraph`, :class:`CSRGraph` and
     :class:`~repro.engine.AnalysisContext`.
     """
-    # Imported here: repro.engine depends on repro.graph, and this module
-    # must stay importable from graph-layer code without a cycle.
+    # Imported here so that validating a graph does not load the engine.
     from repro.engine.context import AnalysisContext
 
     if isinstance(obj, Graph):
@@ -275,99 +259,3 @@ def validate(obj: Any) -> None:
         validate_context(obj)
     else:
         raise TypeError(f"cannot validate object of type {type(obj).__name__}")
-
-
-# -- opt-in post-condition mode ---------------------------------------------
-
-#: Mutating methods wrapped by :func:`install_invariant_checks`.
-_MUTATORS = (
-    "add_node",
-    "add_nodes_from",
-    "add_edge",
-    "add_edges_from",
-    "remove_node",
-    "remove_edge",
-)
-
-# Saved originals: {(cls, method_name): function}.  Non-empty iff installed.
-_originals: dict[tuple[type, str], Any] = {}
-
-# Re-entrancy depth: bulk methods call unit methods internally; only the
-# outermost wrapped call validates, so add_edges_from costs one check.
-_depth = 0
-
-
-def _size(graph: Graph | DiGraph) -> int:
-    return graph.number_of_nodes() + graph.number_of_edges()
-
-
-def _wrap_mutator(cls: type, name: str, limit: int) -> None:
-    original = getattr(cls, name)
-    _originals[(cls, name)] = original
-
-    @functools.wraps(original)
-    def checked(self, *args, **kwargs):
-        global _depth
-        _depth += 1
-        try:
-            result = original(self, *args, **kwargs)
-        finally:
-            _depth -= 1
-        if _depth == 0 and _size(self) <= limit:
-            validate(self)
-        return result
-
-    setattr(cls, name, checked)
-
-
-def install_invariant_checks(limit: int | None = None) -> None:
-    """Wrap substrate mutators and conversions with post-condition checks.
-
-    Idempotent.  ``limit`` bounds the graph size (nodes + edges) above
-    which validation is skipped; default is ``REPRO_CHECK_INVARIANTS_LIMIT``
-    or 20000.  Activated automatically at import time when
-    ``REPRO_CHECK_INVARIANTS=1`` is set (see ``repro/__init__.py``).
-    """
-    if _originals:
-        return
-    if limit is None:
-        limit = int(os.environ.get(_ENV_LIMIT, _DEFAULT_LIMIT))
-    for cls in (Graph, DiGraph):
-        for name in _MUTATORS:
-            _wrap_mutator(cls, name, limit)
-    # The conversion functions call this hook themselves, so the check
-    # covers every call site regardless of how the function was imported.
-    hook_name = "_conversion_check"
-    _originals[(_convert_module, hook_name)] = getattr(  # type: ignore[index]
-        _convert_module, hook_name
-    )
-
-    def checked_conversion(source, result) -> None:
-        if _size(source) <= limit:
-            validate_conversion(source, result)
-            validate(result)
-
-    setattr(_convert_module, hook_name, checked_conversion)
-
-
-def uninstall_invariant_checks() -> None:
-    """Restore the original unwrapped substrate methods."""
-    for (owner, name), original in _originals.items():
-        setattr(owner, name, original)
-    _originals.clear()
-
-
-def checks_installed() -> bool:
-    """Whether the post-condition wrappers are currently active."""
-    return bool(_originals)
-
-
-def checks_enabled_from_env() -> bool:
-    """Whether ``REPRO_CHECK_INVARIANTS`` requests the opt-in mode."""
-    return os.environ.get(_ENV_FLAG, "").strip().lower() not in (
-        "",
-        "0",
-        "false",
-        "no",
-        "off",
-    )

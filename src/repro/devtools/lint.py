@@ -1,37 +1,28 @@
 """Custom AST lint pass with repo-specific correctness rules.
 
 The generic linters the ecosystem ships cannot know that this codebase
-(a) must be seed-reproducible end to end, (b) owns a hand-rolled graph
+must be seed-reproducible end to end and owns a hand-rolled graph
 substrate whose private adjacency dicts may only be *mutated* inside
-:mod:`repro.graph`, and (c) reproduces the paper's scores, which float
-equality would make fragile.  This module encodes those rules: the
-stateless per-statement family (REP001–REP006) and the documentation
-rule (REP301).  Every rule sees one statement tree of one file at a
-time; hazards that need data flow or cross files are guarded by runtime
-checks and tests instead (the evidence table in ``docs/LINTING.md``).
+:mod:`repro.graph`.  This module encodes the four per-statement rules
+that protect those contracts: REP001 (seed hygiene), REP002 (substrate
+ownership), REP003 (iteration safety) and REP006 (swallowed errors).
+Every rule sees one statement tree of one file at a time; hazards that
+need data flow or cross files are guarded by runtime checks and tests
+instead (the evidence table in ``docs/LINTING.md``).
 
 Usage::
 
     python -m repro.devtools.lint src/            # lint a tree
-    repro lint src/                               # same, via the CLI
-    repro lint --explain REP001                   # rule rationale
-    repro lint src --format sarif --output lint.sarif
+    python -m repro.devtools.lint --list-rules    # the rule catalogue
+    python -m repro.devtools.lint src --format sarif --output lint.sarif
 
 Every rule is a class with a stable id (``REP001`` …), a one-line
 ``summary``, and a docstring explaining the rationale.  Violations can be
 suppressed per line with ``# repro: noqa[REP001]`` (several ids comma
 separated) or blanket ``# repro: noqa``; unknown ids inside a noqa are
-themselves diagnosed as ``REP000``.  Project-wide configuration lives in
-``pyproject.toml`` under ``[tool.repro.lint]``:
-
-.. code-block:: toml
-
-    [tool.repro.lint]
-    select = ["REP001", "REP002"]   # default: every rule
-    ignore = ["REP004"]
-
-    [tool.repro.lint.per-path-ignores]
-    "src/repro/graph/*" = ["REP002"]
+themselves diagnosed as ``REP000``.  There is no configuration: every
+rule runs on every file, and a rule that must not apply somewhere says
+so itself (REP002 exempts the graph package that owns the adjacency).
 
 The linter exits non-zero when any unsuppressed violation remains, so it
 can gate PRs (see ``scripts/check.sh``).
@@ -41,35 +32,22 @@ from __future__ import annotations
 
 import argparse
 import ast
-import dataclasses
-import difflib
-import fnmatch
 import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.devtools._base import FileContext, Rule, Violation
-from repro.devtools.report import FORMATS, render
-
-try:
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - Python < 3.11
-    tomllib = None  # type: ignore[assignment]
+from repro.devtools.report import format_sarif, format_text
 
 __all__ = [
     "Violation",
     "FileContext",
-    "LintConfig",
     "Rule",
     "UnseededRandomRule",
     "GraphPrivateMutationRule",
     "MutateWhileIterateRule",
-    "FloatEqualityRule",
-    "MissingAllRule",
     "BroadExceptRule",
-    "DocstringCoverageRule",
     "ALL_RULES",
     "lint_source",
     "lint_paths",
@@ -187,8 +165,6 @@ class UnseededRandomRule(Rule):
 
     id = "REP001"
     summary = "unseeded / global randomness in library code"
-    example_bad = "random.shuffle(nodes)\n"
-    example_good = "rng = random.Random(seed)\nrng.shuffle(nodes)\n"
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Violation]:
         random_aliases, numpy_aliases, from_random = _collect_random_aliases(tree)
@@ -306,16 +282,16 @@ class GraphPrivateMutationRule(Rule):
     count (``_num_edges``) consistent only when mutated through the
     public API.  Reading them is an accepted fast path for kernels;
     writing them from outside the graph package corrupts edge accounting
-    invisibly.  The graph package itself is exempted via the
-    ``per-path-ignores`` table in ``pyproject.toml``.
+    invisibly.  Files under ``repro/graph/`` (subpackages included) own
+    the structures and are exempt.
     """
 
     id = "REP002"
     summary = "mutation of Graph._adj/_succ/_pred outside repro.graph"
-    example_bad = "g._adj[u][v] = w\n"
-    example_good = "g.add_edge(u, v, weight=w)\n"
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Violation]:
+        if "/repro/graph/" in f"/{Path(ctx.path).as_posix()}":
+            return
         for node in ast.walk(tree):
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
                 targets = (
@@ -383,8 +359,6 @@ class MutateWhileIterateRule(Rule):
 
     id = "REP003"
     summary = "graph mutated while being iterated"
-    example_bad = "for u, v in g.edges:\n    g.remove_edge(u, v)\n"
-    example_good = "for u, v in list(g.edges):\n    g.remove_edge(u, v)\n"
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Violation]:
         for node in ast.walk(tree):
@@ -410,93 +384,6 @@ class MutateWhileIterateRule(Rule):
                     )
 
 
-def _involves_float(expr: ast.expr) -> bool:
-    for sub in ast.walk(expr):
-        if isinstance(sub, ast.Constant) and isinstance(sub.value, float):
-            return True
-        if (
-            isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Name)
-            and sub.func.id == "float"
-        ):
-            return True
-    return False
-
-
-class FloatEqualityRule(Rule):
-    """No ``==`` / ``!=`` against floats in the scoring layer.
-
-    The scoring functions reproduce the paper's Fig. 5/6 numbers;
-    comparing computed scores with ``==`` against float constants is
-    almost always a rounding bug waiting to happen.  Use
-    ``math.isclose`` or an explicit tolerance.  The rule only applies
-    under ``repro/scoring/`` — elsewhere float equality is occasionally
-    legitimate (e.g. sentinel defaults).
-    """
-
-    id = "REP004"
-    summary = "float == / != comparison in repro/scoring"
-    example_bad = "if conductance == 0.5: ...\n"
-    example_good = "if math.isclose(conductance, 0.5): ...\n"
-
-    #: Only files with one of these path components are checked.
-    path_filter: tuple[str, ...] = ("scoring",)
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Violation]:
-        if not any(part in ctx.path_parts for part in self.path_filter):
-            return
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
-                continue
-            operands = [node.left, *node.comparators]
-            if any(_involves_float(operand) for operand in operands):
-                yield self.violation(
-                    ctx,
-                    node,
-                    "float equality comparison in scoring code; "
-                    "use math.isclose or an explicit tolerance",
-                )
-
-
-class MissingAllRule(Rule):
-    """Every public module defines ``__all__``.
-
-    ``__all__`` is the contract between a module and ``from m import *``
-    as well as the public-API test-suite; a module without it silently
-    leaks helpers.  ``__main__.py`` entry points are exempt (they are
-    executed, never imported as API).
-    """
-
-    id = "REP005"
-    summary = "public module without __all__"
-    example_bad = '"""Module docstring."""\n\ndef helper(): ...\n'
-    example_good = '"""Module docstring."""\n\n__all__ = ["helper"]\n'
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Violation]:
-        name = ctx.module_basename
-        if name == "__main__.py":
-            return
-        if name.startswith("_") and name != "__init__.py":
-            return
-        for stmt in tree.body:
-            if isinstance(stmt, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
-            ):
-                return
-            if (
-                isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)
-                and stmt.target.id == "__all__"
-            ):
-                return
-        anchor = tree.body[0] if tree.body else tree
-        yield self.violation(
-            ctx, anchor, "public module does not define __all__"
-        )
-
-
 class BroadExceptRule(Rule):
     """No bare ``except:`` and no ``except Exception:`` in library code.
 
@@ -507,8 +394,6 @@ class BroadExceptRule(Rule):
 
     id = "REP006"
     summary = "bare or overly broad except clause"
-    example_bad = "try:\n    score(g)\nexcept Exception:\n    pass\n"
-    example_good = "try:\n    score(g)\nexcept GraphError:\n    raise\n"
 
     _BROAD = frozenset({"Exception", "BaseException"})
 
@@ -537,219 +422,14 @@ class BroadExceptRule(Rule):
                     break
 
 
-class DocstringCoverageRule(Rule):
-    """Every public function and class of the instrumented packages
-    (:mod:`repro.obs`, :mod:`repro.engine`) has an imperative-summary
-    docstring.
-
-    The observability surface is consumed by people debugging *other*
-    layers — a span name or metric helper without a docstring forces them
-    to reverse-engineer the instrumentation itself.  The first line must
-    read as an imperative summary ("Return …", "Record …"), matching the
-    house style; openers like "This function returns …" or "Returns …"
-    are flagged.  Private names (leading underscore), private modules and
-    nested helpers are exempt.
-    """
-
-    id = "REP301"
-    summary = "public obs/engine API without imperative-summary docstring"
-    example_bad = (
-        'def freeze(graph):\n'
-        '    """This function freezes the graph."""\n'
-    )
-    example_good = (
-        'def freeze(graph):\n'
-        '    """Freeze the graph into CSR form."""\n'
-    )
-
-    #: Only files with one of these path components are checked.
-    path_filter: tuple[str, ...] = ("obs", "engine")
-
-    #: First words that mark a descriptive (non-imperative) opening.
-    _WEAK_OPENERS = frozenset(
-        {
-            "a",
-            "an",
-            "are",
-            "builds",
-            "computes",
-            "contains",
-            "creates",
-            "does",
-            "gets",
-            "has",
-            "holds",
-            "implements",
-            "is",
-            "it",
-            "makes",
-            "provides",
-            "represents",
-            "returns",
-            "sets",
-            "the",
-            "these",
-            "this",
-            "wraps",
-        }
-    )
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Violation]:
-        name = ctx.module_basename
-        if name.startswith("_") and name != "__init__.py":
-            return
-        if not any(part in ctx.path_parts for part in self.path_filter):
-            return
-        yield from self._check_body(tree.body, ctx, qualname=())
-
-    def _check_body(
-        self,
-        body: Sequence[ast.stmt],
-        ctx: FileContext,
-        qualname: tuple[str, ...],
-    ) -> Iterator[Violation]:
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if not stmt.name.startswith("_"):
-                    yield from self._check_docstring(
-                        stmt, ctx, qualname, kind="function"
-                    )
-            elif isinstance(stmt, ast.ClassDef):
-                if stmt.name.startswith("_"):
-                    continue
-                yield from self._check_docstring(
-                    stmt, ctx, qualname, kind="class"
-                )
-                yield from self._check_body(
-                    stmt.body, ctx, (*qualname, stmt.name)
-                )
-
-    def _check_docstring(
-        self,
-        node: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef,
-        ctx: FileContext,
-        qualname: tuple[str, ...],
-        kind: str,
-    ) -> Iterator[Violation]:
-        name = ".".join((*qualname, node.name))
-        doc = ast.get_docstring(node)
-        if not doc or not doc.strip():
-            yield self.violation(
-                ctx, node, f"public {kind} '{name}' has no docstring"
-            )
-            return
-        first_line = doc.strip().splitlines()[0].strip()
-        match = re.match(r"[A-Za-z]+", first_line)
-        first_word = match.group(0).lower() if match else ""
-        if not first_word or first_word in self._WEAK_OPENERS:
-            yield self.violation(
-                ctx,
-                node,
-                f"docstring of {kind} '{name}' opens with "
-                f"{first_word or first_line[:20]!r}; start with an "
-                "imperative summary (e.g. 'Return ...', 'Record ...')",
-            )
-
-
 ALL_RULES: tuple[type[Rule], ...] = (
     UnseededRandomRule,
     GraphPrivateMutationRule,
     MutateWhileIterateRule,
-    FloatEqualityRule,
-    MissingAllRule,
     BroadExceptRule,
-    DocstringCoverageRule,
 )
 
 _KNOWN_RULE_IDS = frozenset(rule.id for rule in ALL_RULES)
-
-
-@dataclass(frozen=True)
-class LintConfig:
-    """Effective linter configuration (``[tool.repro.lint]``)."""
-
-    select: tuple[str, ...] = tuple(rule.id for rule in ALL_RULES)
-    ignore: tuple[str, ...] = ()
-    per_path_ignores: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    root: Path | None = None
-
-    @classmethod
-    def load(cls, start: Path | None = None) -> "LintConfig":
-        """Load configuration from the nearest ``pyproject.toml``.
-
-        Walks up from ``start`` (default: cwd).  A missing file or table
-        yields defaults; a present ``[tool.repro.lint]`` table on a
-        Python without :mod:`tomllib` yields defaults *with a stderr
-        warning* — silently ignoring explicit config is worse than noise.
-        """
-        here = (start or Path.cwd()).resolve()
-        if here.is_file():
-            here = here.parent
-        for candidate in (here, *here.parents):
-            pyproject = candidate / "pyproject.toml"
-            if pyproject.is_file():
-                return cls.from_pyproject(pyproject)
-        return cls()
-
-    @classmethod
-    def from_pyproject(cls, pyproject: Path) -> "LintConfig":
-        if tomllib is None:
-            _warn_tomllib_missing(pyproject)
-            return cls(root=pyproject.parent)
-        with open(pyproject, "rb") as handle:
-            data = tomllib.load(handle)
-        table = data.get("tool", {}).get("repro", {}).get("lint", {})
-        known = tuple(rule.id for rule in ALL_RULES)
-        select = tuple(table.get("select", known))
-        ignore = tuple(table.get("ignore", ()))
-        per_path = {
-            pattern: tuple(rules)
-            for pattern, rules in table.get("per-path-ignores", {}).items()
-        }
-        return cls(
-            select=select,
-            ignore=ignore,
-            per_path_ignores=per_path,
-            root=pyproject.parent,
-        )
-
-    def active_rules(self) -> list[Rule]:
-        """Instantiate the enabled rules, honouring select/ignore."""
-        chosen = set(self.select) - set(self.ignore)
-        return [rule() for rule in ALL_RULES if rule.id in chosen]
-
-    def path_ignored_rules(self, path: str) -> set[str]:
-        """Rule ids suppressed for ``path`` by ``per-path-ignores``."""
-        candidates = {Path(path).as_posix()}
-        if self.root is not None:
-            try:
-                candidates.add(
-                    Path(path).resolve().relative_to(self.root.resolve()).as_posix()
-                )
-            except ValueError:
-                pass
-        ignored: set[str] = set()
-        for pattern, rules in self.per_path_ignores.items():
-            if any(
-                fnmatch.fnmatch(candidate, pattern) for candidate in candidates
-            ):
-                ignored.update(rules)
-        return ignored
-
-
-def _warn_tomllib_missing(pyproject: Path) -> None:
-    """Warn (once per process) when explicit lint config cannot be read."""
-    try:
-        text = pyproject.read_text(encoding="utf-8")
-    except OSError:  # pragma: no cover - racing filesystem
-        return
-    if "[tool.repro.lint" in text:
-        print(
-            f"warning: {pyproject} has a [tool.repro.lint] table but this "
-            "Python lacks tomllib (needs >= 3.11); falling back to default "
-            "lint configuration",
-            file=sys.stderr,
-        )
 
 
 def _suppressed(lines: Sequence[str], lineno: int, rule_id: str) -> bool:
@@ -801,11 +481,8 @@ def _check_noqa_ids(lines: Sequence[str], path: str) -> list[Violation]:
     return violations
 
 
-def lint_source(
-    source: str, path: str, config: LintConfig | None = None
-) -> list[Violation]:
+def lint_source(source: str, path: str) -> list[Violation]:
     """Lint one source string; returns the unsuppressed violations."""
-    config = config if config is not None else LintConfig()
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as error:
@@ -820,12 +497,9 @@ def lint_source(
         ]
     lines = tuple(source.splitlines())
     ctx = FileContext(path=path)
-    path_ignored = config.path_ignored_rules(path)
     violations: list[Violation] = _check_noqa_ids(lines, path)
-    for rule in config.active_rules():
-        if rule.id in path_ignored:
-            continue
-        for violation in rule.check(tree, ctx):
+    for rule in ALL_RULES:
+        for violation in rule().check(tree, ctx):
             if not _suppressed(lines, violation.line, violation.rule_id):
                 violations.append(violation)
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
@@ -842,20 +516,17 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
             yield path
 
 
-def lint_paths(
-    paths: Iterable[str | Path], config: LintConfig | None = None
-) -> list[Violation]:
+def lint_paths(paths: Iterable[str | Path]) -> list[Violation]:
     """Lint every ``.py`` file under ``paths``, in sorted file order."""
     from repro import obs
     from repro.obs import instruments
 
-    config = config if config is not None else LintConfig()
     with obs.span("lint.run"):
         files = [str(path) for path in iter_python_files(paths)]
         violations: list[Violation] = []
         for path in files:
             source = Path(path).read_text(encoding="utf-8")
-            violations.extend(lint_source(source, path, config))
+            violations.extend(lint_source(source, path))
         instruments.LINT_FILES.inc(len(files))
         instruments.LINT_VIOLATIONS.inc(len(violations))
     return violations
@@ -868,51 +539,6 @@ def _print_rule_catalogue() -> None:
         print(f"        {doc}")
 
 
-def _print_one_explanation(rule: type[Rule]) -> None:
-    print(f"{rule.id} — {rule.summary}")
-    print()
-    doc = (rule.__doc__ or "").strip()
-    for line in doc.splitlines():
-        print(line.strip() if line.strip() else "")
-    if rule.example_bad:
-        print()
-        print("Bad:")
-        for line in rule.example_bad.rstrip("\n").splitlines():
-            print(f"    {line}")
-    if rule.example_good:
-        print()
-        print("Good:")
-        for line in rule.example_good.rstrip("\n").splitlines():
-            print(f"    {line}")
-
-
-def _explain_rule(rule_id: str) -> int:
-    """Print one rule's rationale, or all of them for ``--explain all``."""
-    if rule_id.lower() == "all":
-        for index, rule in enumerate(
-            sorted(ALL_RULES, key=lambda rule: rule.id)
-        ):
-            if index:
-                print()
-                print("-" * 72)
-                print()
-            _print_one_explanation(rule)
-        return 0
-    for rule in ALL_RULES:
-        if rule.id == rule_id:
-            _print_one_explanation(rule)
-            return 0
-    hints = difflib.get_close_matches(
-        rule_id, sorted(_KNOWN_RULE_IDS), n=3, cutoff=0.6
-    )
-    suggestion = f"; did you mean {', '.join(hints)}?" if hints else ""
-    print(
-        f"error: unknown rule id {rule_id!r}{suggestion} (see --list-rules)",
-        file=sys.stderr,
-    )
-    return 2
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point for ``python -m repro.devtools.lint``."""
     parser = argparse.ArgumentParser(
@@ -921,30 +547,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument("paths", nargs="*", default=["src"], help="files or dirs")
     parser.add_argument(
-        "--select", help="comma-separated rule ids to enable (overrides config)"
-    )
-    parser.add_argument(
-        "--ignore", help="comma-separated rule ids to disable (overrides config)"
-    )
-    parser.add_argument(
-        "--no-config",
-        action="store_true",
-        help="skip pyproject.toml discovery; run with built-in defaults",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue"
     )
     parser.add_argument(
-        "--explain",
-        metavar="REPxxx",
-        help=(
-            "print one rule's rationale with a bad/good example pair "
-            "('all' prints the whole catalogue in id order)"
-        ),
-    )
-    parser.add_argument(
         "--format",
-        choices=FORMATS,
+        choices=("text", "sarif"),
         default="text",
         help="output format (default: text)",
     )
@@ -957,35 +564,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.list_rules:
         _print_rule_catalogue()
         return 0
-    if args.explain:
-        return _explain_rule(args.explain.strip())
-    if args.no_config:
-        config = LintConfig()
-    else:
-        first = Path(args.paths[0]) if args.paths else Path.cwd()
-        config = LintConfig.load(first.resolve())
-    if args.select:
-        config = dataclasses.replace(
-            config,
-            select=tuple(
-                s.strip() for s in args.select.split(",") if s.strip()
-            ),
-        )
-    if args.ignore:
-        config = dataclasses.replace(
-            config,
-            ignore=tuple(
-                s.strip() for s in args.ignore.split(",") if s.strip()
-            ),
-        )
     missing = [entry for entry in args.paths if not Path(entry).exists()]
     if missing:
         for entry in missing:
             print(f"error: no such file or directory: {entry}", file=sys.stderr)
         return 2
 
-    violations = lint_paths(args.paths, config)
-    document = render(violations, args.format, rules=config.active_rules())
+    violations = lint_paths(args.paths)
+    if args.format == "sarif":
+        document = format_sarif(violations, [rule() for rule in ALL_RULES])
+    else:
+        document = format_text(violations)
     if args.output:
         Path(args.output).write_text(document, encoding="utf-8")
         if violations:

@@ -1,4 +1,4 @@
-"""Lint output formats: plain text, JSON, and SARIF 2.1.0.
+"""Lint output formats: plain text and SARIF 2.1.0.
 
 Every formatter is a pure function from a sorted violation list to a
 string, so the same findings always render to the same bytes.
@@ -12,13 +12,10 @@ from collections.abc import Iterable, Sequence
 from repro.devtools._base import Rule, Violation
 
 __all__ = [
-    "FORMATS",
     "LINT_DOC_URI",
     "rule_help_uri",
     "format_text",
-    "format_json",
     "format_sarif",
-    "render",
 ]
 
 SARIF_VERSION = "2.1.0"
@@ -52,15 +49,6 @@ def rule_help_uri(rule: Rule) -> str:
 def format_text(violations: Sequence[Violation]) -> str:
     """One ``path:line:col: ID message`` line per violation."""
     return "".join(f"{violation.format()}\n" for violation in violations)
-
-
-def format_json(violations: Sequence[Violation]) -> str:
-    """A stable JSON document: ``{"violations": [...], "count": N}``."""
-    payload = {
-        "violations": [violation.as_dict() for violation in violations],
-        "count": len(violations),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def format_sarif(
@@ -122,21 +110,3 @@ def format_sarif(
         ],
     }
     return json.dumps(log, indent=2, sort_keys=True) + "\n"
-
-
-FORMATS = ("text", "json", "sarif")
-
-
-def render(
-    violations: Sequence[Violation],
-    fmt: str,
-    rules: Iterable[Rule] = (),
-) -> str:
-    """Dispatch on ``fmt`` (one of :data:`FORMATS`)."""
-    if fmt == "text":
-        return format_text(violations)
-    if fmt == "json":
-        return format_json(violations)
-    if fmt == "sarif":
-        return format_sarif(violations, rules)
-    raise ValueError(f"unknown lint output format: {fmt!r}")

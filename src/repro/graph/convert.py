@@ -26,11 +26,6 @@ __all__ = [
 ]
 
 
-def _conversion_check(source: Graph | DiGraph, result: Graph | DiGraph) -> None:
-    """Post-conversion hook; replaced by :mod:`repro.devtools.invariants`
-    when ``REPRO_CHECK_INVARIANTS`` is active.  No-op by default."""
-
-
 def stable_sorted(nodes: Iterable[Node]) -> list[Node]:
     """Sort nodes into a deterministic, hash-independent order.
 
@@ -71,7 +66,6 @@ def to_undirected(graph: DiGraph | Graph, *, reciprocal_only: bool = False) -> G
             if reciprocal_only and not graph.has_edge(v, u):
                 continue
             result.add_edge(u, v)
-    _conversion_check(graph, result)
     return result
 
 
@@ -82,7 +76,6 @@ def to_directed(graph: Graph) -> DiGraph:
     for u, v in graph.edges:
         result.add_edge(u, v)
         result.add_edge(v, u)
-    _conversion_check(graph, result)
     return result
 
 

@@ -185,9 +185,8 @@ def record_manifest(manifest: RunManifest) -> None:
         STATE.tracer.manifests.append(manifest)
 
 
-# REPRO_TRACE=1 auto-enables tracing at import (same falsy vocabulary as
-# REPRO_CHECK_INVARIANTS in repro/__init__); nothing is written implicitly
-# — export through the CLI's --trace-out or current_tracer().
+# REPRO_TRACE=1 auto-enables tracing at import; nothing is written
+# implicitly — export through the CLI's --trace-out or current_tracer().
 if os.environ.get("REPRO_TRACE", "").strip().lower() not in (
     "",
     "0",

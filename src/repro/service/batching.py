@@ -42,10 +42,7 @@ from repro.engine import AnalysisContext, GroupIds, ParallelExecutor
 from repro.obs import instruments
 from repro.scoring.base import ScoringFunction
 from repro.scoring.columnar import score_stats_columns
-from repro.scoring.internal import (
-    FractionOverMedianDegree,
-    TriangleParticipationRatio,
-)
+from repro.scoring.registry import scoring_options
 
 __all__ = ["MicroBatcher", "ScoreRequest", "score_member_lists"]
 
@@ -66,28 +63,10 @@ def score_member_lists(
     makes, which is what keeps service responses byte-identical to CLI
     output.
     """
-    median = (
-        context.median_degree
-        if any(isinstance(f, FractionOverMedianDegree) for f in functions)
-        else None
-    )
-    include_adjacency = any(
-        isinstance(f, TriangleParticipationRatio) for f in functions
-    )
+    options = scoring_options(context, functions)
     if executor is not None and executor.active and len(groups):
-        return executor.score_groups(
-            groups,
-            functions,
-            graph_median_degree=median,
-            include_internal_adjacency=include_adjacency,
-        )
-    return score_stats_columns(
-        context,
-        groups,
-        functions,
-        graph_median_degree=median,
-        include_internal_adjacency=include_adjacency,
-    )
+        return executor.score_groups(groups, functions, **options)
+    return score_stats_columns(context, groups, functions, **options)
 
 
 @dataclass

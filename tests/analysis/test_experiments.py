@@ -148,6 +148,16 @@ class TestCharacterization:
         assert 1.0 <= characterization.average_shortest_path <= characterization.diameter
         assert 0.0 <= characterization.mean_clustering <= 1.0
 
+    def test_sampled_estimators_at_full_precision(self, characterization):
+        """Each sampled estimator draws from its own seed.  The ledger
+        prints the path length to two decimals, so only the exact bits
+        show one generator shared across the three estimators."""
+        assert characterization.diameter == 4
+        assert characterization.average_shortest_path.hex() == (
+            "0x1.2a8ce795f9066p+1"
+        )
+        assert characterization.mean_clustering.hex() == "0x1.978dbed622c98p-2"
+
     def test_degree_fit_present(self, characterization):
         assert characterization.degree_distribution in {
             "power_law",

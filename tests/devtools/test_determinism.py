@@ -139,6 +139,21 @@ def test_main_passes_on_fast_pipelines(capsys):
     assert "PASS" in output and "FAIL" not in output
 
 
+def test_main_named_pipeline(capsys):
+    assert main(["synth.erdos_renyi"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_main_unknown_pipeline(capsys):
+    assert main(["bogus.pipeline"]) == 2
+    assert "unknown pipeline" in capsys.readouterr().err
+
+
+def test_main_list(capsys):
+    assert main(["--list"]) == 0
+    assert "sampling.random_walk" in capsys.readouterr().out
+
+
 def test_main_fails_on_diverging_pipeline(capsys):
     name = "test.cli_unseeded"
     register_pipeline(name, lambda seed: [random.random()], fast=False)

@@ -1,38 +1,16 @@
 """Invariant validator tests: deliberately corrupt graphs and assert the
-corruption is detected, and exercise the REPRO_CHECK_INVARIANTS wrappers."""
+corruption is detected."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.devtools import invariants
-from repro.devtools.invariants import (
-    checks_installed,
-    install_invariant_checks,
-    uninstall_invariant_checks,
-    validate,
-    validate_conversion,
-)
+from repro.devtools.invariants import validate, validate_conversion
 from repro.exceptions import InvariantViolation, ReproError
 from repro.graph.convert import to_directed, to_undirected
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
-
-
-@pytest.fixture(autouse=True)
-def _pristine_wrapper_state():
-    """Run each test with the wrappers uninstalled, restoring the prior
-    state afterwards — the suite itself may run under
-    ``REPRO_CHECK_INVARIANTS=1``, which installs them at import time."""
-    was_installed = checks_installed()
-    uninstall_invariant_checks()
-    try:
-        yield
-    finally:
-        uninstall_invariant_checks()
-        if was_installed:
-            install_invariant_checks()
 
 
 @pytest.fixture
@@ -168,80 +146,6 @@ def test_conversion_mismatch_detected(digraph):
     collapsed.remove_node("d")
     with pytest.raises(InvariantViolation, match="node set"):
         validate_conversion(digraph, collapsed)
-
-
-# -- opt-in wrapper mode ------------------------------------------------------
-
-
-@pytest.fixture
-def installed():
-    install_invariant_checks(limit=10_000)
-    try:
-        yield
-    finally:
-        uninstall_invariant_checks()
-
-
-def test_install_uninstall_roundtrip():
-    original = Graph.add_edge
-    install_invariant_checks()
-    assert checks_installed()
-    assert Graph.add_edge is not original
-    install_invariant_checks()  # idempotent
-    uninstall_invariant_checks()
-    assert not checks_installed()
-    assert Graph.add_edge is original
-
-
-def test_wrapped_methods_preserve_behaviour(installed):
-    graph = Graph()
-    graph.add_edges_from([(i, i + 1) for i in range(30)])
-    graph.remove_node(10)
-    graph.remove_edge(20, 21)
-    assert graph.number_of_edges() == 27
-    digraph = DiGraph([("a", "b"), ("b", "c")])
-    digraph.remove_edge("a", "b")
-    assert digraph.number_of_edges() == 1
-    validate(graph)
-    validate(digraph)
-
-
-def test_wrapper_catches_corruption_on_next_mutation(installed):
-    graph = Graph([(1, 2), (2, 3)])
-    graph._adj[1].add(3)  # one-sided: corrupts symmetry
-    with pytest.raises(InvariantViolation, match="asymmetric"):
-        graph.add_edge(7, 8)
-
-
-def test_wrapper_skips_graphs_above_limit():
-    install_invariant_checks(limit=5)
-    try:
-        graph = Graph([(i, i + 1) for i in range(20)])  # size > limit
-        graph._adj[0].add(5)  # corruption goes unchecked by design
-        graph.add_edge(100, 101)
-    finally:
-        uninstall_invariant_checks()
-
-
-def test_wrapper_checks_conversions(installed):
-    digraph = DiGraph([("a", "b"), ("b", "a"), ("b", "c")])
-    undirected = to_undirected(digraph)
-    assert set(undirected.nodes) == set(digraph.nodes)
-
-
-def test_env_flag_parsing(monkeypatch):
-    for value, expected in [
-        ("1", True),
-        ("true", True),
-        ("0", False),
-        ("false", False),
-        ("", False),
-        ("off", False),
-    ]:
-        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", value)
-        assert invariants.checks_enabled_from_env() is expected
-    monkeypatch.delenv("REPRO_CHECK_INVARIANTS")
-    assert invariants.checks_enabled_from_env() is False
 
 
 class TestContextValidation:

@@ -2,7 +2,11 @@
 the commands run in unit-test time."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +92,15 @@ class TestParser:
             cli.main(argv)
         assert excinfo.value.code == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["lint", "check"])
+    def test_dev_tools_are_not_subcommands(self, capsys, command):
+        """The linter and the determinism checker run only as
+        ``python -m repro.devtools.lint`` and ``... .determinism``."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -175,53 +188,45 @@ class TestCommands:
         assert "fig5_conductance.csv" in out
         assert (target / "fig6_conductance.csv").exists()
 
-    def test_lint_clean_file(self, capsys, tmp_path):
+    # The linter's one entry point is ``python -m repro.devtools.lint``;
+    # these run it as a program, as scripts/check.sh does, so the exit
+    # status is the one the shell sees.
+
+    def test_lint_clean_file(self, tmp_path):
         clean = tmp_path / "clean.py"
         clean.write_text('"""Doc."""\n__all__ = []\n')
-        assert cli.main(["lint", str(clean)]) == 0
+        assert _run_lint(str(clean)).returncode == 0
 
-    def test_lint_flags_violations(self, capsys, tmp_path):
+    def test_lint_flags_violations(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("import random\n\nx = random.random()\n")
-        assert cli.main(["lint", str(bad)]) == 1
-        out = capsys.readouterr().out
-        assert "REP001" in out
+        completed = _run_lint(str(bad))
+        assert completed.returncode == 1
+        assert "REP001" in completed.stdout
 
-    def test_lint_list_rules(self, capsys):
-        assert cli.main(["lint", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        assert "REP001" in out and "REP006" in out
+    def test_lint_list_rules(self):
+        completed = _run_lint("--list-rules")
+        assert completed.returncode == 0
+        assert "REP001" in completed.stdout and "REP006" in completed.stdout
 
-    @pytest.mark.parametrize(
-        "flag",
-        [["--jobs", "2"], ["--baseline", "b.json"], ["--write-baseline"],
-         ["--check-baseline"]],
-        ids=lambda flag: flag[0],
+    def test_lint_missing_path(self, tmp_path):
+        completed = _run_lint(str(tmp_path / "nope.py"))
+        assert completed.returncode == 2
+        assert "no such file" in completed.stderr
+
+
+def _run_lint(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python -m repro.devtools.lint ARGS`` in a fresh interpreter."""
+    src = Path(cli.__file__).resolve().parents[1]
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run(
+        [sys.executable, "-m", "repro.devtools.lint", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
-    def test_lint_rejects_retired_flags(self, capsys, flag):
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main(["lint", "--list-rules", *flag])
-        assert exit_info.value.code == 2
-        assert flag[0] in capsys.readouterr().err
-
-    def test_check_named_pipeline(self, capsys):
-        assert cli.main(["check", "synth.erdos_renyi"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
-
-    def test_check_unknown_pipeline(self, capsys):
-        assert cli.main(["check", "bogus.pipeline"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown pipeline" in err
-
-    def test_lint_missing_path(self, capsys, tmp_path):
-        assert cli.main(["lint", str(tmp_path / "nope.py")]) == 2
-        assert "no such file" in capsys.readouterr().err
-
-    def test_check_list(self, capsys):
-        assert cli.main(["check", "--list"]) == 0
-        out = capsys.readouterr().out
-        assert "sampling.random_walk" in out
 
 
 class TestTrace:

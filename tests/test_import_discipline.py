@@ -18,6 +18,7 @@ modules.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -166,6 +167,37 @@ def test_star_import_from_a_fresh_interpreter(package):
         # ``repro`` exports the degree fitters, which import scipy.
         light=package not in ("repro", "repro.powerlaw"),
     )
+
+
+def _imported_modules(node: ast.AST, package: str) -> list[str]:
+    """Absolute names of the modules an import statement loads."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    base = importlib.util.resolve_name(
+        "." * node.level + (node.module or ""), package
+    )
+    return [base] + [f"{base}.{alias.name}" for alias in node.names]
+
+
+def test_library_never_imports_devtools():
+    """The tooling depends on the library, never the reverse: no module
+    outside ``repro/devtools/``, lazily or not, imports ``repro.devtools``."""
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if "devtools" in parts:
+            continue
+        package = ".".join(parts[:-1])  # what a relative import resolves in
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = _imported_modules(node, package)
+            if any(
+                name == "repro.devtools" or name.startswith("repro.devtools.")
+                for name in names
+            ):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert offenders == []
 
 
 def test_subpackages_resolve_as_attributes():
