@@ -26,10 +26,6 @@ from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
 from repro.scoring.base import ScoringFunction
 from repro.scoring.columnar import score_stats_columns
-from repro.scoring.internal import (
-    FractionOverMedianDegree,
-    TriangleParticipationRatio,
-)
 from repro.scoring.registry import make_paper_functions
 
 __all__ = ["EgoViewResult", "ego_centered_scores"]
@@ -112,25 +108,6 @@ def ego_centered_scores(
     joined_context = AnalysisContext.ensure(
         joined if joined is not None else collection.join()
     )
-    needs_median = any(
-        isinstance(function, FractionOverMedianDegree)
-        for function in functions
-    )
-    needs_adjacency = any(
-        isinstance(function, TriangleParticipationRatio)
-        for function in functions
-    )
-
-    def score(context: AnalysisContext, member_lists: list) -> np.ndarray:
-        median = context.median_degree if needs_median else None
-        _, matrix = score_stats_columns(
-            context,
-            member_lists,
-            functions,
-            graph_median_degree=median,
-            include_internal_adjacency=needs_adjacency,
-        )
-        return matrix
 
     circle_names: list[str] = []
     owners: list[object] = []
@@ -154,9 +131,10 @@ def ego_centered_scores(
             owners.append(network.ego)
             local_members.append(members)
             global_members.append(joined_members)
-        local_parts.append(score(local_context, local_members))
+        _, matrix = score_stats_columns(local_context, local_members, functions)
+        local_parts.append(matrix)
     local = np.concatenate(local_parts)
-    global_ = score(joined_context, global_members)
+    _, global_ = score_stats_columns(joined_context, global_members, functions)
 
     result = EgoViewResult(circle_names=circle_names, owners=owners)
     for j, function in enumerate(functions):

@@ -32,7 +32,6 @@ from repro.scoring.registry import (
     make_paper_functions,
     score_groups,
     scored_table,
-    scoring_options,
 )
 
 __all__ = ["CirclesVsRandomResult", "circles_vs_random"]
@@ -157,7 +156,6 @@ def circles_vs_random(
                 cache=cache,
                 executor=executor,
                 functions=functions,
-                **scoring_options(context, functions),
             )
             circle_scores = score_groups(
                 context, circles, functions, cache=cache, executor=executor

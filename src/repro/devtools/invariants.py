@@ -30,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from repro.exceptions import InvariantViolation
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, IdentityIndex, IdentityNodes
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
 
@@ -114,38 +114,60 @@ def validate_digraph(graph: DiGraph) -> None:
 
 
 def validate_csr(csr: CSRGraph) -> None:
-    """Check the structural invariants of a :class:`CSRGraph` snapshot."""
-    indptr, indices = csr.indptr, csr.indices
+    """Check the structural invariants of a :class:`CSRGraph` snapshot.
+
+    The row checks are whole-array numpy passes, and an identity
+    labelling (a store-opened or worker-side CSR) is checked by its type
+    and length, not label by label.
+    """
+    indptr, indices = np.asarray(csr.indptr), np.asarray(csr.indices)
     n = csr.num_vertices
     if len(indptr) != n + 1:
         _fail(f"indptr has {len(indptr)} entries for {n} vertices")
     if n and indptr[0] != 0:
         _fail(f"indptr[0] == {indptr[0]}, expected 0")
-    for i in range(len(indptr) - 1):
-        if indptr[i + 1] < indptr[i]:
-            _fail(f"indptr not monotone at position {i}")
+    steps = np.diff(indptr)
+    falls = np.flatnonzero(steps < 0)
+    if falls.size:
+        _fail(f"indptr not monotone at position {falls[0]}")
     if len(indptr) and indptr[-1] != len(indices):
         _fail(
             f"indptr[-1] == {indptr[-1]} but indices has {len(indices)} entries"
         )
-    for vertex in range(n):
-        row = indices[indptr[vertex] : indptr[vertex + 1]]
-        previous = -1
-        for neighbor in row:
-            if not 0 <= neighbor < n:
+    if n:
+        rows = np.repeat(np.arange(n, dtype=np.int64), steps)
+        out_of_range = (indices < 0) | (indices >= n)
+        self_loop = indices == rows
+        # Each entry against its predecessor in the row; a row's first
+        # entry has none.
+        unsorted = np.zeros(len(indices), dtype=bool)
+        unsorted[1:] = indices[1:] <= indices[:-1]
+        unsorted[indptr[:-1][steps > 0]] = False
+        bad = np.flatnonzero(out_of_range | self_loop | unsorted)
+        if bad.size:
+            position = bad[0]
+            vertex, neighbor = rows[position], indices[position]
+            if out_of_range[position]:
                 _fail(f"row {vertex} references out-of-range vertex {neighbor}")
-            if neighbor == vertex:
+            if self_loop[position]:
                 _fail(f"self-loop in CSR row {vertex}")
-            if neighbor <= previous:
-                _fail(f"row {vertex} is not strictly sorted")
-            previous = neighbor
-    if len(csr.nodes) != len(csr.index_of):
-        _fail(
-            f"{len(csr.nodes)} labels but {len(csr.index_of)} index entries"
-        )
-    for i, label in enumerate(csr.nodes):
-        if csr.index_of.get(label) != i:
-            _fail(f"label {label!r} maps to {csr.index_of.get(label)}, not {i}")
+            _fail(f"row {vertex} is not strictly sorted")
+    nodes, index_of = csr.nodes, csr.index_of
+    if isinstance(index_of, IdentityIndex):
+        # Answers lookups through ``__missing__`` and holds no entries:
+        # its type and bound are the whole mapping.
+        bound = index_of._n  # noqa: SLF001 - validator inspects internals
+        identity = isinstance(nodes, IdentityNodes) and len(nodes) == n
+        if not identity or bound != n:
+            _fail(
+                f"{len(nodes)} labels but an identity index over {bound} ids"
+            )
+        return
+    if len(nodes) != len(index_of):
+        _fail(f"{len(nodes)} labels but {len(index_of)} index entries")
+    for i, label in enumerate(nodes):
+        if index_of.get(label) != i:
+            _fail(f"label {label!r} maps to {index_of.get(label)}, not {i}")
 
 
 def validate_context(context: Any) -> None:

@@ -134,14 +134,14 @@ def query_key(
 ) -> str:
     """Content address of one score query over a frozen context.
 
-    The single derivation shared by :meth:`ResultCache.score_groups_key`
-    (on-disk cache entries) and the service layer's ETags
-    (:mod:`repro.service`): a query is the CSR fingerprint, the scoring
-    functions' configuration tokens, the named group vertex-id sets, and
-    the TPR/adjacency flag.  Two callers asking the same question about
-    the same frozen bytes get the same key — which is what makes a
-    ``repro score`` run and an HTTP request share one cache entry and
-    one ETag universe.
+    The single derivation behind on-disk cache entries and the service
+    layer's ETags, both taken through
+    :func:`repro.scoring.registry.table_key`: a query is the CSR
+    fingerprint, the scoring functions' configuration tokens, the named
+    group vertex-id sets, and the TPR/adjacency flag.  Two callers
+    asking the same question about the same frozen bytes get the same
+    key — which is what makes a ``repro score`` run and an HTTP request
+    share one cache entry and one ETag universe.
     """
     import hashlib
 
@@ -254,28 +254,6 @@ class ResultCache:
         return self.root / f"{key}.rce"
 
     # -- keys ----------------------------------------------------------------
-
-    def score_groups_key(
-        self,
-        context: "AnalysisContext",
-        *,
-        tokens: list[dict[str, object]],
-        group_names: Sequence[str],
-        id_lists: Sequence[np.ndarray],
-        include_internal_adjacency: bool,
-    ) -> str:
-        """Key for one ``score_groups`` batch over a frozen context.
-
-        Delegates to the shared :func:`query_key` derivation so on-disk
-        entries and service ETags can never drift apart.
-        """
-        return query_key(
-            context,
-            tokens=tokens,
-            group_names=group_names,
-            id_lists=id_lists,
-            include_internal_adjacency=include_internal_adjacency,
-        )
 
     def matched_sets_key(
         self,

@@ -317,10 +317,7 @@ def _worker_context() -> AnalysisContext:
 
 
 def _score_shard(
-    groups: GroupIds,
-    functions: Sequence[ScoringFunction],
-    graph_median_degree: float | None,
-    include_internal_adjacency: bool,
+    groups: GroupIds, functions: Sequence[ScoringFunction]
 ) -> tuple[list[int], np.ndarray]:
     """Score one shard of canonical id groups in a worker.
 
@@ -332,13 +329,7 @@ def _score_shard(
     """
     from repro.scoring.columnar import score_stats_columns
 
-    return score_stats_columns(
-        _worker_context(),
-        groups,
-        functions,
-        graph_median_degree=graph_median_degree,
-        include_internal_adjacency=include_internal_adjacency,
-    )
+    return score_stats_columns(_worker_context(), groups, functions)
 
 
 def _sample_chunk(
@@ -346,8 +337,6 @@ def _sample_chunk(
     sizes: list[int],
     child_seeds: list[int | None],
     functions: Sequence[ScoringFunction] | None,
-    graph_median_degree: float | None,
-    include_internal_adjacency: bool,
 ) -> tuple:
     """Draw one chunk of matched sets and, given ``functions``, score it.
 
@@ -369,8 +358,6 @@ def _sample_chunk(
             sizes,
             child_seeds,
             functions,
-            graph_median_degree=graph_median_degree,
-            include_internal_adjacency=include_internal_adjacency,
             tally=tally,
         )
     except Exception as error:  # repro: noqa[REP006] - the parent raises it after counting the tally
@@ -458,9 +445,6 @@ class ParallelExecutor:
         self,
         groups: GroupIds,
         functions: Sequence[ScoringFunction],
-        *,
-        graph_median_degree: float | None,
-        include_internal_adjacency: bool,
     ) -> tuple[list[int], np.ndarray]:
         """Score canonical id groups across the pool.
 
@@ -480,8 +464,6 @@ class ParallelExecutor:
                 _score_shard,
                 groups.shard(shard.start, shard.stop),
                 functions,
-                graph_median_degree,
-                include_internal_adjacency,
             )
             for shard in shards
         ]
@@ -498,9 +480,6 @@ class ParallelExecutor:
         sizes: Sequence[int],
         child_seeds: Sequence[int | None],
         functions: Sequence[ScoringFunction] | None = None,
-        *,
-        graph_median_degree: float | None = None,
-        include_internal_adjacency: bool = False,
     ) -> "PendingDraw":
         """Submit a matched-set draw to the pool and return at once.
 
@@ -528,8 +507,6 @@ class ParallelExecutor:
                 sizes[chunk.start : chunk.stop],
                 list(child_seeds[chunk.start : chunk.stop]),
                 functions,
-                graph_median_degree,
-                include_internal_adjacency,
             )
             for chunk in chunks
         ]

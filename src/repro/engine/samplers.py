@@ -728,8 +728,6 @@ def _draw_scored(
     child_seeds: Sequence[int | None],
     functions: Sequence[ScoringFunction] | None = None,
     *,
-    graph_median_degree: float | None = None,
-    include_internal_adjacency: bool = False,
     tally: list[int] | None = None,
 ) -> tuple[GroupIds, np.ndarray | None]:
     """Draw replicate ``i``'s set with seed ``child_seeds[i]``, then score
@@ -755,13 +753,7 @@ def _draw_scored(
         return groups, None
     from repro.scoring.columnar import score_stats_columns
 
-    _, matrix = score_stats_columns(
-        context,
-        groups,
-        functions,
-        graph_median_degree=graph_median_degree,
-        include_internal_adjacency=include_internal_adjacency,
-    )
+    _, matrix = score_stats_columns(context, groups, functions)
     return groups, matrix
 
 
@@ -791,8 +783,6 @@ class MatchedDraw:
         cache: "ResultCache | str | bool | None" = None,
         executor: ParallelExecutor | None = None,
         functions: Sequence[ScoringFunction] | None = None,
-        graph_median_degree: float | None = None,
-        include_internal_adjacency: bool = False,
     ) -> None:
         self.context = AnalysisContext.ensure(context)
         # operator.index: a float size is a TypeError, not a truncation.
@@ -802,10 +792,6 @@ class MatchedDraw:
             raise KeyError(f"unknown sampler {sampler!r}; known: {known}")
         self.sampler = sampler
         self._functions = functions
-        self._options = {
-            "graph_median_degree": graph_median_degree,
-            "include_internal_adjacency": include_internal_adjacency,
-        }
         self._store = ResultCache.resolve(cache)
         self._key: str | None = None
         self._cached: list[np.ndarray] | None = None
@@ -822,7 +808,7 @@ class MatchedDraw:
             if functions is not None and function_tokens(functions) is None:
                 functions = None
             self._pending = executor.draw(
-                sampler, self.sizes, self._child_seeds, functions, **self._options
+                sampler, self.sizes, self._child_seeds, functions
             )
 
     def result(self) -> tuple[GroupIds, np.ndarray | None]:
@@ -848,7 +834,6 @@ class MatchedDraw:
                         self.sizes,
                         self._child_seeds,
                         self._functions,
-                        **self._options,
                     )
                 if self._key is not None and self._store is not None:
                     self._store.store_id_sets(self._key, groups.slices())

@@ -52,6 +52,7 @@ __all__ = [
     "score_function_column",
     "score_matrix",
     "score_stats_columns",
+    "stats_options",
 ]
 
 
@@ -263,29 +264,50 @@ def score_matrix(
     return matrix
 
 
+def stats_options(
+    context: "AnalysisContext", functions: Sequence[ScoringFunction]
+) -> dict[str, object]:
+    """Return the stats-pass keywords ``functions`` need.
+
+    FOMD needs the graph's median degree and TPR each member's internal
+    neighbour rows; the stats pass computes neither for other functions.
+    The one place that reads these needs off a function list.
+    """
+    # Imported here: repro.scoring.internal imports this module.
+    from repro.scoring.internal import (
+        FractionOverMedianDegree,
+        TriangleParticipationRatio,
+    )
+
+    def needs(kind: type) -> bool:
+        return any(isinstance(function, kind) for function in functions)
+
+    return {
+        "graph_median_degree": (
+            context.median_degree if needs(FractionOverMedianDegree) else None
+        ),
+        "include_internal_adjacency": needs(TriangleParticipationRatio),
+    }
+
+
 def score_stats_columns(
     context: "AnalysisContext",
     groups: "GroupIds | Sequence[Iterable[Node]]",
     functions: Sequence[ScoringFunction],
-    *,
-    graph_median_degree: float | None = None,
-    include_internal_adjacency: bool = False,
 ) -> tuple[list[int], np.ndarray]:
     """Compute stats columns and score them in one pass.
 
     ``groups`` is a canonical :class:`~repro.engine.ids.GroupIds` or
-    label lists (mapped to one by the stats pass).  Returns per-group
-    deduplicated sizes and the ``(G, F)`` score matrix.  The one shared
-    helper behind every batch scoring entry point — worker shards and
-    the serial paths produce their packed column shards here, which is
-    what keeps ``--jobs`` byte-identical.
+    label lists (mapped to one by the stats pass).  The stats pass
+    computes what ``functions`` need (:func:`stats_options`).  Returns
+    per-group deduplicated sizes and the ``(G, F)`` score matrix.  The
+    one shared helper behind every batch scoring entry point — worker
+    shards and the serial paths produce their packed column shards
+    here, which is what keeps ``--jobs`` byte-identical.
     """
     from repro.engine.batch import batch_group_stats_columns
 
     batch = batch_group_stats_columns(
-        context,
-        groups,
-        graph_median_degree=graph_median_degree,
-        include_internal_adjacency=include_internal_adjacency,
+        context, groups, **stats_options(context, functions)
     )
     return batch.n_C.tolist(), score_matrix(functions, batch)

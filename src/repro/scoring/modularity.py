@@ -44,7 +44,6 @@ def _generate_null_graph(
     sample's own child stream — the fallback seed is consumed only when
     Viger-Latapy fails and ``method="auto"`` degrades to the
     configuration model, so consuming it never shifts other samples.
-    Module-level so the parallel ensemble path can ship it to a pool.
     The generators are imported here, on first use: analytic Modularity
     never needs them.
     """
@@ -72,18 +71,6 @@ def _generate_null_graph(
             return configuration_model(degrees, seed=fallback)
     return configuration_model(degrees, seed=primary)
 
-
-def _null_worker_init() -> None:
-    """Silence observability in forked null-model workers.
-
-    A forked worker inherits the parent's tracer; letting it write would
-    interleave records into the parent's trace stream.
-    """
-    from repro.obs._runtime import STATE
-
-    STATE.enabled = False
-    STATE.tracer = None
-    STATE.owns_tracemalloc = False
 
 Node = Hashable
 
@@ -153,7 +140,6 @@ class NullModelEnsemble:
         method: str = "auto",
         seed: int | None = None,
         shuffle_factor: float = 1.0,
-        jobs: int | None = None,
     ) -> None:
         if samples < 1:
             raise ValueError("need at least one null-model sample")
@@ -161,8 +147,8 @@ class NullModelEnsemble:
         index_of, _ = integer_index(graph)
         self._index_of = index_of
         # Every sample owns an independent child stream (including any
-        # Viger-Latapy -> configuration fallback draws), so serial and
-        # parallel generation realize identical null graphs.
+        # Viger-Latapy -> configuration fallback draws), so one sample's
+        # fallback never shifts another sample's draws.
         streams = spawn_generators(seed, samples)
         if graph.is_directed:
             if method not in ("auto", "configuration"):
@@ -171,48 +157,19 @@ class NullModelEnsemble:
                 )
             in_degrees = [len(graph._pred[v]) for v in graph]  # noqa: SLF001
             out_degrees = [len(graph._succ[v]) for v in graph]  # noqa: SLF001
-            payloads = [
-                ("directed", in_degrees, out_degrees, method, shuffle_factor)
-            ] * samples
+            payload = ("directed", in_degrees, out_degrees, method, shuffle_factor)
         else:
             if method not in ("auto", "viger_latapy", "configuration"):
                 raise ValueError(f"unknown null-model method {method!r}")
             degrees = [len(graph._adj[v]) for v in graph]  # noqa: SLF001
-            payloads = [
-                ("undirected", degrees, None, method, shuffle_factor)
-            ] * samples
+            payload = ("undirected", degrees, None, method, shuffle_factor)
         seed_pairs = [
             (int(stream.integers(2**32)), int(stream.integers(2**32)))
             for stream in streams
         ]
-        from repro.engine.parallel import resolve_jobs
-
-        jobs = resolve_jobs(jobs)
-        if jobs > 1 and samples > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            # The workers fork from this process: load the generators
-            # they run here, once, instead of in every worker.
-            import repro.nullmodel.configuration  # noqa: F401
-            import repro.nullmodel.viger_latapy  # noqa: F401
-
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, samples),
-                initializer=_null_worker_init,
-            ) as pool:
-                self._null_graphs = list(
-                    pool.map(
-                        _generate_null_graph,
-                        payloads,
-                        seed_pairs,
-                        chunksize=1,
-                    )
-                )
-        else:
-            self._null_graphs = [
-                _generate_null_graph(payload, pair)
-                for payload, pair in zip(payloads, seed_pairs)
-            ]
+        self._null_graphs = [
+            _generate_null_graph(payload, pair) for pair in seed_pairs
+        ]
 
     def __len__(self) -> int:
         return len(self._null_graphs)

@@ -6,6 +6,14 @@ Yang–Leskovec taxonomy); :data:`PAPER_FUNCTIONS` builds exactly those.
 one frozen :class:`~repro.engine.AnalysisContext` — the graph is frozen
 exactly once per run (or not at all if the caller passes a context), and
 all group statistics come from the engine's vectorized batch pass.
+
+This module also owns the cached-table step every score table goes
+through: :func:`table_key` derives the content address,
+:func:`load_table` reads the result cache, :func:`score_ids` scores a
+miss serially or across a worker pool, and :func:`store_table` assembles
+the :class:`ScoreTable` and stores it.  :func:`score_groups`,
+:func:`scored_table` and ``repro serve`` (whose micro-batcher runs
+:func:`score_ids`) all take these steps.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import numpy as np
 
 from repro import obs
 from repro.data.groups import GroupSet, VertexGroup
-from repro.engine.cache import ResultCache, function_tokens
+from repro.engine.cache import ResultCache, function_tokens, query_key
 from repro.engine.context import AnalysisContext
 from repro.engine.ids import GroupIds
 from repro.engine.parallel import ParallelExecutor, resolve_jobs
@@ -25,7 +33,7 @@ from repro.obs import capture_manifest, instruments
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
 from repro.scoring.base import ScoringFunction
-from repro.scoring.columnar import score_stats_columns
+from repro.scoring.columnar import score_stats_columns, stats_options
 from repro.scoring.combined import (
     AverageOutDegreeFraction,
     Conductance,
@@ -52,10 +60,13 @@ __all__ = [
     "make_all_functions",
     "make_function",
     "ScoreTable",
+    "load_table",
     "score_group",
     "score_groups",
+    "score_ids",
     "scored_table",
-    "scoring_options",
+    "store_table",
+    "table_key",
 ]
 
 #: The four functions of the paper's evaluation (section V), in paper order.
@@ -167,35 +178,18 @@ def finite_median(values: np.ndarray) -> np.float64:
     return ordered[middle - 1 + len(ordered) % 2 : middle + 1].mean()
 
 
-def _needs(functions: Sequence[ScoringFunction], kind: type) -> bool:
-    return any(isinstance(function, kind) for function in functions)
-
-
 def score_group(
     graph: Graph | DiGraph | AnalysisContext,
     members: Iterable[Node],
     functions: Sequence[ScoringFunction],
-    *,
-    graph_median_degree: float | None = None,
 ) -> dict[str, float]:
     """Score one vertex set under ``functions`` (a one-group batch).
 
     ``graph`` may be a raw graph (frozen here) or a frozen
     :class:`~repro.engine.AnalysisContext`; both score the same way.
     """
-    context = AnalysisContext.ensure(graph)
-    if graph_median_degree is None and _needs(
-        functions, FractionOverMedianDegree
-    ):
-        graph_median_degree = context.median_degree
     _, matrix = score_stats_columns(
-        context,
-        [members],
-        functions,
-        graph_median_degree=graph_median_degree,
-        include_internal_adjacency=_needs(
-            functions, TriangleParticipationRatio
-        ),
+        AnalysisContext.ensure(graph), [members], functions
     )
     return {
         function.name: float(matrix[0, j])
@@ -203,25 +197,89 @@ def score_group(
     }
 
 
-def scoring_options(
-    context: AnalysisContext, functions: Sequence[ScoringFunction]
-) -> dict[str, object]:
-    """Return the stats-pass options ``functions`` need, as keywords.
+def score_ids(
+    context: AnalysisContext,
+    groups: GroupIds,
+    functions: Sequence[ScoringFunction],
+    executor: ParallelExecutor | None = None,
+) -> tuple[list[int], np.ndarray]:
+    """Score canonical id groups, across ``executor``'s pool if active.
 
-    FOMD needs the graph's median degree and TPR the internal adjacency
-    rows; every batch scoring path (serial, shards, sampling chunks)
-    passes these to :func:`~repro.scoring.columnar.score_stats_columns`.
+    Returns per-group deduplicated sizes and the ``(G, F)`` score
+    matrix, byte for byte the same serially and across the pool.
+    Functions that cannot travel to a worker (no
+    :func:`~repro.engine.cache.function_tokens`) score serially.
     """
-    return {
-        "graph_median_degree": (
-            context.median_degree
-            if _needs(functions, FractionOverMedianDegree)
-            else None
-        ),
-        "include_internal_adjacency": _needs(
-            functions, TriangleParticipationRatio
-        ),
-    }
+    if (
+        executor is not None
+        and executor.active
+        and len(groups)
+        and function_tokens(functions) is not None
+    ):
+        return executor.score_groups(groups, functions)
+    return score_stats_columns(context, groups, functions)
+
+
+def table_key(
+    context: AnalysisContext,
+    groups: GroupIds,
+    functions: Sequence[ScoringFunction],
+) -> str | None:
+    """Content address of named ``groups`` scored under ``functions``.
+
+    The result-cache key of the table and the service's ETag for it
+    (:func:`~repro.engine.cache.query_key`).  ``None`` when a function
+    carries non-scalar state: such a table is never cached.  Hashes the
+    context's whole union CSR once per context.
+    """
+    tokens = function_tokens(functions)
+    if tokens is None:
+        return None
+    return query_key(
+        context,
+        tokens=tokens,
+        group_names=groups.names,
+        id_lists=groups.slices(),
+        include_internal_adjacency=stats_options(context, functions)[
+            "include_internal_adjacency"
+        ],
+    )
+
+
+def load_table(store: ResultCache | None, key: str | None) -> ScoreTable | None:
+    """Return the table ``store`` holds under ``key``, else ``None``."""
+    if store is None or key is None:
+        return None
+    hit = store.load_score_table(key)
+    if hit is None:
+        return None
+    names, sizes, columns = hit
+    return ScoreTable(group_names=names, group_sizes=sizes, columns=columns)
+
+
+def store_table(
+    store: ResultCache | None,
+    key: str | None,
+    groups: GroupIds,
+    functions: Sequence[ScoringFunction],
+    sizes: list[int],
+    matrix: np.ndarray,
+) -> ScoreTable:
+    """Assemble named ``groups``' table from their sizes and ``(G, F)``
+    score matrix, and store it under ``key`` when there is a store."""
+    table = ScoreTable(
+        group_names=list(groups.names),
+        group_sizes=sizes,
+        columns={
+            function.name: np.ascontiguousarray(matrix[:, j])
+            for j, function in enumerate(functions)
+        },
+    )
+    if store is not None and key is not None:
+        store.store_score_table(
+            key, table.group_names, table.group_sizes, table.columns
+        )
+    return table
 
 
 def score_groups(
@@ -260,7 +318,6 @@ def score_groups(
         functions = make_paper_functions()
     context = AnalysisContext.ensure(graph)
     with obs.span("scoring.score_groups"):
-        options = scoring_options(context, functions)
         if isinstance(groups, GroupIds):
             batch = groups
         else:
@@ -271,31 +328,14 @@ def score_groups(
                 names=[group.name for group in group_list],
                 restrict=restrict_to_graph,
             )
-        tokens = function_tokens(functions)
 
-        def compute() -> tuple[list[int], np.ndarray]:
-            runner, own_executor = executor, False
-            if runner is None and tokens is not None:
-                effective = resolve_jobs(jobs)
-                if effective > 1:
-                    runner = ParallelExecutor(context, effective)
-                    own_executor = True
-            try:
-                if (
-                    runner is not None
-                    and runner.active
-                    and tokens is not None
-                    and len(batch)
-                ):
-                    return runner.score_groups(batch, functions, **options)
-                return score_stats_columns(
-                    context, batch, functions, **options
-                )
-            finally:
-                if own_executor and runner is not None:
-                    runner.close()
+        def score() -> tuple[list[int], np.ndarray]:
+            if executor is not None or resolve_jobs(jobs) == 1:
+                return score_ids(context, batch, functions, executor)
+            with ParallelExecutor(context, jobs) as own:
+                return score_ids(context, batch, functions, own)
 
-        return _score_table(context, batch, functions, tokens, cache, compute)
+        return _cached_table(context, batch, functions, cache, score)
 
 
 def scored_table(
@@ -314,61 +354,38 @@ def scored_table(
     copy when it holds one.
     """
     with obs.span("scoring.score_groups"):
-        return _score_table(
+        return _cached_table(
             context,
             groups,
             functions,
-            function_tokens(functions),
             cache,
             lambda: (groups.sizes.tolist(), matrix),
         )
 
 
-def _score_table(
+def _cached_table(
     context: AnalysisContext,
     groups: GroupIds,
     functions: Sequence[ScoringFunction],
-    tokens: list[dict[str, object]] | None,
     cache: "ResultCache | str | bool | None",
-    compute: Callable[[], tuple[list[int], np.ndarray]],
+    score: Callable[[], tuple[list[int], np.ndarray]],
 ) -> ScoreTable:
-    """Serve ``groups``' table from ``cache``, else ``compute()`` it.
+    """Serve ``groups``' table from ``cache``, else ``score()`` and store it.
 
-    ``compute`` returns per-group sizes and the ``(G, F)`` matrix; a
-    computed table is stored under the batch's key.
+    ``score`` returns per-group sizes and the ``(G, F)`` matrix.  The
+    key is derived only when there is a cache to read.
     """
     if groups.names is None:
         raise ValueError("score_groups needs named groups")
-    names = list(groups.names)
     store = ResultCache.resolve(cache)
-    key: str | None = None
-    if store is not None and tokens is not None:
-        key = store.score_groups_key(
-            context,
-            tokens=tokens,
-            group_names=names,
-            id_lists=groups.slices(),
-            include_internal_adjacency=_needs(
-                functions, TriangleParticipationRatio
-            ),
-        )
-        hit = store.load_score_table(key)
-        if hit is not None:
-            names, sizes, columns = hit
-            _record_score_manifest(context, functions)
-            return ScoreTable(group_names=names, group_sizes=sizes, columns=columns)
-
-    sizes, matrix = compute()
-    columns = {
-        function.name: np.ascontiguousarray(matrix[:, j])
-        for j, function in enumerate(functions)
-    }
-    if key is not None and store is not None:
-        store.store_score_table(key, names, sizes, columns)
-    if obs.enabled():
-        instruments.SCORES_COMPUTED.inc(len(names) * len(functions))
-        _record_score_manifest(context, functions)
-    return ScoreTable(group_names=names, group_sizes=sizes, columns=columns)
+    key = table_key(context, groups, functions) if store is not None else None
+    table = load_table(store, key)
+    if table is None:
+        table = store_table(store, key, groups, functions, *score())
+        if obs.enabled():
+            instruments.SCORES_COMPUTED.inc(len(table) * len(functions))
+    _record_score_manifest(context, functions)
+    return table
 
 
 def _record_score_manifest(

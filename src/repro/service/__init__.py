@@ -27,7 +27,7 @@ The operator runbook, endpoint catalogue and caching model live in
 """
 
 from repro.service.app import ROUTES, CircleService, Route, ServiceConfig
-from repro.service.batching import MicroBatcher, score_member_lists
+from repro.service.batching import MicroBatcher
 from repro.service.http import HttpError, Request, Response
 from repro.service.registry import (
     DatasetRegistry,
@@ -47,5 +47,4 @@ __all__ = [
     "Route",
     "ServiceConfig",
     "UnknownDatasetError",
-    "score_member_lists",
 ]

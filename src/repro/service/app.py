@@ -7,12 +7,14 @@ score requests through a :class:`~repro.service.batching.MicroBatcher`,
 and serves repeated queries from three progressively cheaper tiers —
 
 1. a **304** for any ``If-None-Match`` revalidation (the ETag is the
-   content-addressed :func:`repro.engine.query_key`, so a match proves
-   the cached representation is still exact — no scoring, no body);
+   content-addressed :func:`repro.scoring.registry.table_key`, so a
+   match proves the cached representation is still exact — no scoring,
+   no body);
 2. an in-memory cache of **rendered response bodies** (bounded LRU);
 3. the on-disk :class:`~repro.engine.ResultCache`, shared byte-for-byte
-   with ``repro score`` CLI runs because both derive keys from the same
-   :func:`~repro.engine.query_key` code path.
+   with ``repro score`` CLI runs because both take the registry's
+   cached-table step (:mod:`repro.scoring.registry`): the same key, the
+   same cache read and the same stored table.
 
 Only a genuinely new query reaches the engine, and then as part of a
 micro-batch.  The endpoint catalogue lives in ``docs/SERVICE.md`` and is
@@ -32,21 +34,17 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.engine import (
-    GroupIds,
-    ResultCache,
-    function_tokens,
-    query_key,
-    resolve_jobs,
-)
+from repro.engine import GroupIds, ResultCache, resolve_jobs
 from repro.exceptions import EmptyGroupError, NodeNotFound
 from repro.obs import instruments
 from repro.scoring.base import ScoringFunction
-from repro.scoring.internal import TriangleParticipationRatio
 from repro.scoring.registry import (
     PAPER_FUNCTION_NAMES,
     ScoreTable,
+    load_table,
     make_function,
+    store_table,
+    table_key,
 )
 from repro.service.batching import MicroBatcher
 from repro.service.http import (
@@ -138,7 +136,7 @@ def _restrict_groups(entry: ResidentDataset, groups: Sequence) -> GroupIds:
     """Apply ``score_groups``' ``restrict_to_graph`` semantics.
 
     Stored-group queries must produce the same names, ids and therefore
-    the same :func:`~repro.engine.query_key` as a ``repro score
+    the same :func:`~repro.scoring.registry.table_key` as a ``repro score
     --mmap-dir`` run over the sidecar: members absent from the graph are
     dropped, groups emptied by the restriction skipped.
     """
@@ -458,18 +456,9 @@ class CircleService:
         functions: list[ScoringFunction],
     ) -> _ScoredQuery:
         """Derive the content-addressed key of one query's id groups."""
-        tokens = function_tokens(functions)
-        if tokens is None:  # pragma: no cover - registry functions tokenize
+        key = table_key(entry.context, groups, functions)
+        if key is None:  # pragma: no cover - registry functions tokenize
             raise HttpError(400, "functions carry non-scalar state")
-        key = query_key(
-            entry.context,
-            tokens=tokens,
-            group_names=groups.names,
-            id_lists=groups.slices(),
-            include_internal_adjacency=any(
-                isinstance(f, TriangleParticipationRatio) for f in functions
-            ),
-        )
         return _ScoredQuery(
             entry=entry,
             groups=groups,
@@ -505,14 +494,11 @@ class CircleService:
             self._responses.popitem(last=False)
 
     async def _score_query(self, query: _ScoredQuery) -> ScoreTable:
-        """Answer one query from the result cache or a micro-batch."""
-        if self.store is not None:
-            hit = self.store.load_score_table(query.key)
-            if hit is not None:
-                names, sizes, columns = hit
-                return ScoreTable(
-                    group_names=names, group_sizes=sizes, columns=columns
-                )
+        """Answer one query through the registry's cached-table step,
+        its miss scored by a micro-batch."""
+        table = load_table(self.store, query.key)
+        if table is not None:
+            return table
         batch_key = (
             query.entry.name,
             tuple(query.function_names),
@@ -525,15 +511,8 @@ class CircleService:
             query.entry.executor(),
             query.groups,
         )
-        columns = {
-            function.name: np.ascontiguousarray(rows[:, j])
-            for j, function in enumerate(query.functions)
-        }
-        names = list(query.groups.names)
-        if self.store is not None:
-            self.store.store_score_table(query.key, names, sizes, columns)
-        return ScoreTable(
-            group_names=names, group_sizes=sizes, columns=columns
+        return store_table(
+            self.store, query.key, query.groups, query.functions, sizes, rows
         )
 
     def _render_score_payload(

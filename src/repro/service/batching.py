@@ -6,11 +6,10 @@ the batch kernel's setup per request; the engine is fastest when it
 sees *many groups at once*.  The :class:`MicroBatcher` therefore queues
 requests per ``(dataset, functions)`` coalescing key and runs the union
 of a batch's groups — each request's canonical
-:class:`~repro.engine.ids.GroupIds`, joined end to end — through a
-single columnar :func:`~repro.scoring.columnar.score_stats_columns` /
-:meth:`~repro.engine.ParallelExecutor.score_groups` invocation.  Each
-request then receives exactly its own slice of the combined sizes and
-``(G, F)`` score matrix.
+:class:`~repro.engine.ids.GroupIds`, joined end to end — through one
+:func:`repro.scoring.registry.score_ids` call, serial or across the
+dataset's worker pool.  Each request then receives exactly its own slice
+of the combined sizes and ``(G, F)`` score matrix.
 
 Batches form by *group commit*: a key's next batch starts once no batch
 of that key is computing and its oldest pending request has waited
@@ -25,8 +24,8 @@ behind a computing batch, still share one invocation.
 Scoring runs on a worker thread (``loop.run_in_executor``) so the event
 loop keeps accepting connections while a batch computes.  Results are
 byte-identical to a serial :func:`repro.scoring.registry.score_groups`
-call because the serial/parallel split and the per-function evaluation
-mirror that code path exactly.
+call because ``score_groups`` scores its misses through the same
+:func:`~repro.scoring.registry.score_ids`.
 """
 
 from __future__ import annotations
@@ -41,32 +40,9 @@ import numpy as np
 from repro.engine import AnalysisContext, GroupIds, ParallelExecutor
 from repro.obs import instruments
 from repro.scoring.base import ScoringFunction
-from repro.scoring.columnar import score_stats_columns
-from repro.scoring.registry import scoring_options
+from repro.scoring.registry import score_ids
 
-__all__ = ["MicroBatcher", "ScoreRequest", "score_member_lists"]
-
-
-def score_member_lists(
-    context: AnalysisContext,
-    groups: GroupIds,
-    functions: Sequence[ScoringFunction],
-    executor: ParallelExecutor | None = None,
-) -> tuple[list[int], np.ndarray]:
-    """Score canonical id groups exactly like ``score_groups`` would.
-
-    Returns per-group deduplicated sizes and the ``(G, F)`` float64
-    score matrix (one column per function, in function order).  Serial
-    and parallel alike take the ids: the shared columnar helper
-    (:func:`~repro.scoring.columnar.score_stats_columns`) or the
-    executor — the same split :func:`repro.scoring.registry.score_groups`
-    makes, which is what keeps service responses byte-identical to CLI
-    output.
-    """
-    options = scoring_options(context, functions)
-    if executor is not None and executor.active and len(groups):
-        return executor.score_groups(groups, functions, **options)
-    return score_stats_columns(context, groups, functions, **options)
+__all__ = ["MicroBatcher", "ScoreRequest"]
 
 
 @dataclass
@@ -179,9 +155,11 @@ class MicroBatcher:
         )
         try:
             groups = GroupIds.concat([request.groups for request in requests])
+            # ``score_ids`` is read from this module's namespace at call
+            # time, so tests can hold a batch by replacing it.
             sizes, rows = await loop.run_in_executor(
                 None,
-                score_member_lists,
+                score_ids,
                 state.context,
                 groups,
                 state.functions,

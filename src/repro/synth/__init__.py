@@ -23,9 +23,7 @@ _EXPORTS = {
     "load_all_paper_datasets": "repro.synth.paper_datasets",
     "EdgeStream": "repro.synth.stream",
     "GraphEdgeStream": "repro.synth.stream",
-    "CommunityStream": "repro.synth.stream",
     "BenchmarkStream": "repro.synth.stream",
-    "stream_community_graph": "repro.synth.stream",
     "benchmark_stream": "repro.synth.stream",
     "freeze_stream": "repro.synth.stream",
 }

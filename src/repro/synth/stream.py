@@ -8,16 +8,12 @@ on-disk CSR directory (``docs/SCALING.md``) by spilling sorted key runs
 to disk and external-merging them, so no Python-object adjacency is ever
 built (the merge's memory still grows with m; see :func:`freeze_stream`).
 
-Three stream families cover the use cases:
+Two stream families cover the use cases:
 
 * :class:`GraphEdgeStream` adapts an already-built
   :class:`~repro.graph.Graph`/:class:`~repro.graph.DiGraph` (the
   ``build_google_plus()`` family), so every existing generator freezes
   to disk bit-identically to its in-RAM freeze;
-* :func:`stream_community_graph` replays
-  :func:`~repro.synth.community_graph.generate_community_graph`'s RNG
-  draw-for-draw without ever building the dict graph — same seed, same
-  fingerprint (pinned by ``tests/synth/test_stream.py``);
 * :func:`benchmark_stream` is a fully vectorized planted-partition
   generator for the 10^5–10^8-edge perf trajectory
   (``benchmarks/bench_parallel_scoring.py --scale``).
@@ -40,19 +36,11 @@ from repro.graph.convert import integer_index
 from repro.graph.csr import CSRDirWriter, is_identity_nodes, pack_edge_keys
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
-from repro.synth.community_graph import (
-    CommunityGraphConfig,
-    _chung_lu_edges,
-    _community_edges,
-)
-from repro.synth.heavy_tail import lognormal_sizes
 
 __all__ = [
     "EdgeStream",
     "GraphEdgeStream",
-    "CommunityStream",
     "BenchmarkStream",
-    "stream_community_graph",
     "benchmark_stream",
     "freeze_stream",
 ]
@@ -136,102 +124,6 @@ class GraphEdgeStream(EdgeStream):
             )
 
 
-class CommunityStream(EdgeStream):
-    """Streaming twin of :func:`generate_community_graph`.
-
-    Consumes the generator's RNG in exactly the same order (sizes →
-    popularity → internal targets → per-community membership and wiring
-    → Chung–Lu background), so the same seed produces the same edge set
-    — and therefore, after :func:`freeze_stream`, the same CSR
-    fingerprint as freezing the dict graph — without ever holding the
-    adjacency in Python objects.  The ground-truth :meth:`groups` become
-    available once the stream has been fully consumed.
-    """
-
-    def __init__(
-        self,
-        config: CommunityGraphConfig,
-        *,
-        seed: int | None = None,
-        name: str = "synthetic-communities",
-    ) -> None:
-        config.validate()
-        self.config = config
-        self.seed = seed
-        self.name = name
-        self.directed = False
-        self.num_vertices = config.num_nodes
-        self.nodes = None
-        self._groups: GroupSet | None = None
-
-    def edge_chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield each community's edges, then the Chung–Lu background.
-
-        Replaying the dict generator means holding one community's edge
-        set at a time and then the whole background edge set at once,
-        plus the planted :class:`GroupSet` — O(background edges +
-        total community size), not one bounded chunk.
-        """
-        config = self.config
-        rng = np.random.default_rng(self.seed)
-        sizes = lognormal_sizes(
-            config.num_communities,
-            median=config.community_size_median,
-            sigma=config.community_size_sigma,
-            minimum=config.community_size_min,
-            maximum=config.community_size_max,
-            rng=rng,
-        )
-        popularity = rng.lognormal(
-            mean=0.0, sigma=config.membership_bias, size=config.num_nodes
-        )
-        popularity /= popularity.sum()
-        internal_targets = rng.lognormal(
-            mean=np.log(config.internal_degree_median),
-            sigma=config.internal_degree_sigma,
-            size=config.num_communities,
-        )
-        groups = GroupSet(name=self.name)
-        for index in range(config.num_communities):
-            members = rng.choice(
-                config.num_nodes,
-                size=int(sizes[index]),
-                replace=False,
-                p=popularity,
-            )
-            edges = _community_edges(
-                members, float(internal_targets[index]), rng
-            )
-            groups.add(
-                Community(
-                    name=f"community{index}",
-                    members=frozenset(int(v) for v in members),
-                )
-            )
-            if edges:
-                pairs = np.asarray(sorted(edges), dtype=np.int64)
-                yield pairs[:, 0], pairs[:, 1]
-        background = _chung_lu_edges(
-            config.num_nodes,
-            config.background_degree,
-            config.background_weight_sigma,
-            rng,
-        )
-        if background:
-            pairs = np.asarray(sorted(background), dtype=np.int64)
-            yield pairs[:, 0], pairs[:, 1]
-        self._groups = groups
-
-    def groups(self) -> GroupSet:
-        """Ground-truth communities; available after full consumption."""
-        if self._groups is None:
-            raise GraphError(
-                "CommunityStream groups are drawn while streaming; "
-                "consume the stream (freeze_stream) before reading them"
-            )
-        return self._groups
-
-
 class BenchmarkStream(EdgeStream):
     """Vectorized planted-partition stream for the scale benchmark.
 
@@ -300,16 +192,6 @@ class BenchmarkStream(EdgeStream):
                 )
             )
         return groups
-
-
-def stream_community_graph(
-    config: CommunityGraphConfig | None = None,
-    *,
-    seed: int | None = None,
-    name: str = "synthetic-communities",
-) -> CommunityStream:
-    """Streaming counterpart of :func:`generate_community_graph`."""
-    return CommunityStream(config or CommunityGraphConfig(), seed=seed, name=name)
 
 
 def benchmark_stream(num_edges: int, *, seed: int = 0, **kwargs) -> BenchmarkStream:

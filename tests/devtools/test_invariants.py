@@ -3,14 +3,19 @@ corruption is detected."""
 
 from __future__ import annotations
 
+import shutil
+
+import numpy as np
 import pytest
 
 from repro.devtools.invariants import validate, validate_conversion
+from repro.engine import AnalysisContext
 from repro.exceptions import InvariantViolation, ReproError
 from repro.graph.convert import to_directed, to_undirected
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
+from repro.synth import benchmark_stream, freeze_stream
 
 
 @pytest.fixture
@@ -129,6 +134,35 @@ def test_detects_label_index_mismatch(graph):
     csr.index_of[csr.nodes[0]] = 1
     with pytest.raises(InvariantViolation, match="maps to"):
         validate(csr)
+
+
+# -- stores -------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def store(tmp_path_factory):
+    """An identity-labelled store, frozen the way ``repro freeze --scale``
+    freezes one."""
+    return freeze_stream(
+        benchmark_stream(4000, seed=1), tmp_path_factory.mktemp("store") / "s"
+    )
+
+
+def test_opened_store_validates(store):
+    validate(AnalysisContext.open(store))
+
+
+def test_detects_unsorted_row_in_store(store, tmp_path):
+    copy = shutil.copytree(store, tmp_path / "copy")
+    indptr = np.fromfile(copy / "union.indptr.bin", dtype="<i8")
+    row = int(np.flatnonzero(np.diff(indptr) >= 2)[0])
+    start = int(indptr[row])
+    indices = np.memmap(copy / "union.indices.bin", dtype="<i8", mode="r+")
+    indices[[start, start + 1]] = indices[[start + 1, start]]
+    indices.flush()
+    del indices
+    with pytest.raises(InvariantViolation, match=f"row {row} is not strictly"):
+        validate(AnalysisContext.open(copy))
 
 
 # -- conversion agreement -----------------------------------------------------

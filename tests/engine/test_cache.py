@@ -390,6 +390,28 @@ def test_no_cache_bypasses_even_with_env(monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_no_cache_never_fingerprints(monkeypatch):
+    """Without a cache no key is derived: a key hashes the whole union
+    CSR, which a ``--no-cache`` run must not pay for."""
+    import repro.engine.cache as cache_module
+    import repro.obs.manifest as manifest_module
+    from repro import obs
+    from repro.analysis.experiment import circles_vs_random
+
+    def refuse(context):
+        raise AssertionError("fingerprinted a context without a cache")
+
+    # Manifests fingerprint by design, and only while observability is on.
+    obs.disable()
+    monkeypatch.setattr(cache_module, "fingerprint_context", refuse)
+    monkeypatch.setattr(manifest_module, "fingerprint_context", refuse)
+    graph = build_graph()
+    groups = build_groups(graph)
+    context = AnalysisContext(graph)
+    score_groups(context, groups, cache=False)
+    circles_vs_random((graph, groups), context=context, seed=5, cache=False)
+
+
 def test_unsafe_functions_never_cached(tmp_path):
     from repro.scoring.modularity import NullModelEnsemble
 

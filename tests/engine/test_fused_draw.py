@@ -23,7 +23,11 @@ from repro.exceptions import ParallelError
 from repro.graph.ugraph import Graph
 from repro.obs import instruments
 from repro.scoring.modularity import NullModelEnsemble
-from repro.scoring.registry import make_paper_functions, score_groups
+from repro.scoring.registry import (
+    make_all_functions,
+    make_paper_functions,
+    score_groups,
+)
 
 
 def labelled_graph(n=80, m=320, seed=13):
@@ -83,10 +87,18 @@ def test_consecutive_passes_match_serial_and_leave_no_worker():
     graph = labelled_graph()
     groups = circles(graph)
     context = AnalysisContext(graph)
-    serial = result_bytes(fig5(graph, groups, context, 1))
-    for _ in range(2):
-        assert result_bytes(fig5(graph, groups, context, 2)) == serial
-        assert multiprocessing.active_children() == []
+    # The paper's four, then all fifteen: the chunks and shards derive
+    # FOMD's median degree and TPR's neighbour rows themselves.
+    for functions in (make_paper_functions(), make_all_functions()):
+        serial = result_bytes(
+            fig5(graph, groups, context, 1, functions=functions)
+        )
+        for _ in range(2):
+            assert (
+                result_bytes(fig5(graph, groups, context, 2, functions=functions))
+                == serial
+            )
+            assert multiprocessing.active_children() == []
 
 
 def test_worker_death_raises_and_the_next_pass_recovers():

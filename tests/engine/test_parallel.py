@@ -30,7 +30,11 @@ from repro.engine.parallel import _worker_context, shard_ranges
 from repro.exceptions import ParallelError, SamplingError
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
-from repro.scoring.registry import make_paper_functions, score_groups
+from repro.scoring.registry import (
+    make_all_functions,
+    make_paper_functions,
+    score_groups,
+)
 
 
 def scrambled_graph(directed, n=60, m=240, seed=13):
@@ -133,9 +137,12 @@ def test_parallel_scoring_matches_serial_bytes(directed, jobs):
     graph = scrambled_graph(directed)
     groups = some_groups(graph)
     context = AnalysisContext(graph)
-    serial = score_groups(context, groups)
-    parallel = score_groups(context, groups, jobs=jobs)
-    assert_tables_identical(serial, parallel)
+    # The paper's four, then all fifteen: FOMD and TPR read the median
+    # degree and the neighbour rows, which the shards derive themselves.
+    for functions in (make_paper_functions(), make_all_functions()):
+        serial = score_groups(context, groups, functions)
+        parallel = score_groups(context, groups, functions, jobs=jobs)
+        assert_tables_identical(serial, parallel)
 
 
 @pytest.mark.parametrize(
@@ -237,8 +244,6 @@ def test_empty_batch_returns_empty_without_spawning():
         sizes, rows = executor.score_groups(
             GroupIds.from_arrays([], n=context.num_vertices),
             make_paper_functions(),
-            graph_median_degree=None,
-            include_internal_adjacency=False,
         )
         assert sizes == [] and rows.shape == (0, 4)
         assert executor.sample_ids("uniform", [], []) == []
@@ -264,12 +269,7 @@ def test_worker_crash_surfaces_as_parallel_error():
     ids = GroupIds.from_labels(context, [sorted(graph.nodes)[:5]])
     with ParallelExecutor(context, jobs=2) as executor:
         with pytest.raises(ParallelError, match="--jobs 1"):
-            executor.score_groups(
-                ids,
-                [_Kaboom()],
-                graph_median_degree=None,
-                include_internal_adjacency=False,
-            )
+            executor.score_groups(ids, [_Kaboom()])
 
 
 def _probe_worker_writes() -> tuple[list[str], list[str]]:
@@ -324,12 +324,7 @@ def test_executor_close_is_idempotent():
     context = AnalysisContext(scrambled_graph(directed=False, n=20, m=60))
     executor = ParallelExecutor(context, jobs=2)
     ids = GroupIds.from_labels(context, [sorted(context.graph.nodes)[:4]])
-    sizes, rows = executor.score_groups(
-        ids,
-        make_paper_functions(),
-        graph_median_degree=None,
-        include_internal_adjacency=False,
-    )
+    sizes, rows = executor.score_groups(ids, make_paper_functions())
     assert sizes == [4] and len(rows) == 1
     executor.close()
     executor.close()
@@ -360,15 +355,3 @@ def test_sampled_modularity_scores_serially_but_identically():
         score_groups(context, groups, functions),
         score_groups(context, groups, functions, jobs=2),
     )
-
-
-def test_null_ensemble_parallel_generation_matches_serial():
-    from repro.scoring.modularity import NullModelEnsemble
-
-    graph = scrambled_graph(directed=False, n=30, m=90)
-    members = frozenset(sorted(graph.nodes)[:8])
-    serial = NullModelEnsemble(graph, samples=3, seed=5)
-    parallel = NullModelEnsemble(graph, samples=3, seed=5, jobs=2)
-    assert serial.expected_internal_edges(
-        members
-    ) == parallel.expected_internal_edges(members)

@@ -125,7 +125,7 @@ def test_empty_batch_scores_to_zero_by_f_matrix():
 
 
 @pytest.mark.parametrize(
-    "entry", ["score_groups", "score_member_lists", "parallel_shard"]
+    "entry", ["score_groups", "score_ids", "parallel_shard"]
 )
 def test_production_scoring_goes_through_score_matrix(entry, monkeypatch):
     """Each scoring entry point dispatches every function's batch kernel
@@ -140,7 +140,7 @@ def test_production_scoring_goes_through_score_matrix(entry, monkeypatch):
     from repro.engine import GroupIds, parallel
     from repro.obs import instruments
     from repro.scoring.registry import make_paper_functions, score_groups
-    from repro.service.batching import score_member_lists
+    from repro.service.batching import score_ids
 
     graph = Graph()
     for u in range(30):
@@ -161,13 +161,13 @@ def test_production_scoring_goes_through_score_matrix(entry, monkeypatch):
                 ]
             )
             score_groups(context, groups, functions, jobs=1, cache=False)
-        elif entry == "score_member_lists":
+        elif entry == "score_ids":
             ids = GroupIds.from_labels(context, member_lists)
-            score_member_lists(context, ids, functions)
+            score_ids(context, ids, functions)
         else:
             monkeypatch.setitem(parallel._WORKER, "context", context)
             ids = GroupIds.from_labels(context, member_lists)
-            parallel._score_shard(ids, functions, context.median_degree, False)
+            parallel._score_shard(ids, functions)
         vectorized = {
             function.name: instruments.SCORING_VECTORIZED.value(function.name)
             for function in functions

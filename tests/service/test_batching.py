@@ -63,12 +63,12 @@ def metrics():
 
 
 class GatedScorer:
-    """Stands in for ``score_member_lists``: records each call's group
-    count, holds the first call until :attr:`release` is set, and
-    optionally makes that first call raise."""
+    """Stands in for the batcher's scorer ``score_ids``: records each
+    call's group count, holds the first call until :attr:`release` is
+    set, and optionally makes that first call raise."""
 
     def __init__(self, *, fail_first: bool = False) -> None:
-        self.real = batching.score_member_lists
+        self.real = batching.score_ids
         self.fail_first = fail_first
         self.calls: list[int] = []
         self.first_entered = threading.Event()
@@ -95,7 +95,7 @@ class GatedScorer:
 def gated(monkeypatch):
     def install(**kwargs) -> GatedScorer:
         scorer = GatedScorer(**kwargs)
-        monkeypatch.setattr(batching, "score_member_lists", scorer)
+        monkeypatch.setattr(batching, "score_ids", scorer)
         return scorer
 
     return install
@@ -143,13 +143,13 @@ def test_lone_request_starts_on_next_turn_at_default_window(
     context, ids = alpha
     one = _part(ids, 0, 1)
     called = threading.Event()
-    real = batching.score_member_lists
+    real = batching.score_ids
 
     def recording(*args):
         called.set()
         return real(*args)
 
-    monkeypatch.setattr(batching, "score_member_lists", recording)
+    monkeypatch.setattr(batching, "score_ids", recording)
 
     async def scenario():
         loop = asyncio.get_running_loop()

@@ -22,15 +22,22 @@ import repro.obs as obs
 from repro.data.groups import load_groups
 from repro.engine import AnalysisContext, ResultCache
 from repro.obs import instruments
-from repro.scoring import PAPER_FUNCTION_NAMES, make_function, score_groups
+from repro.scoring import (
+    PAPER_FUNCTION_NAMES,
+    make_all_functions,
+    make_function,
+    score_groups,
+)
 
 
-def _reference_table(service_root, dataset: str, *, cache=False):
+def _reference_table(
+    service_root, dataset: str, *, cache=False, names=PAPER_FUNCTION_NAMES
+):
     """Score the stored groups exactly the way ``repro score`` does."""
     store = service_root / dataset
     context = AnalysisContext.open(store)
     groups = load_groups(store / "groups.json")
-    functions = [make_function(name) for name in PAPER_FUNCTION_NAMES]
+    functions = [make_function(name) for name in names]
     return score_groups(context, groups, functions=functions, cache=cache)
 
 
@@ -64,6 +71,24 @@ class TestByteIdentity:
         for function_name, reference in table.columns.items():
             served = _served_column(payload, function_name)
             assert reference.dtype == np.float64
+            assert served.tobytes() == reference.tobytes(), function_name
+
+        # All fifteen functions: FOMD's median degree and TPR's
+        # neighbour rows reach the micro-batch too.
+        every = [function.name for function in make_all_functions()]
+
+        async def every_scenario(service, client):
+            return await client.get_json(
+                f"/v1/datasets/alpha/score?functions={','.join(every)}"
+            )
+
+        status, _, payload = service_runner(every_scenario)
+        assert status == 200
+        table = _reference_table(service_root, "alpha", names=every)
+        assert list(table.columns) == every
+        assert [g["size"] for g in payload["groups"]] == table.group_sizes
+        for function_name, reference in table.columns.items():
+            served = _served_column(payload, function_name)
             assert served.tobytes() == reference.tobytes(), function_name
 
     def test_served_summary_matches_cli_bitwise(

@@ -16,7 +16,6 @@ from repro.service import (
     MicroBatcher,
     ResidentDataset,
     ServiceConfig,
-    score_member_lists,
 )
 from repro.service.http import Request
 from tests.service.conftest import SERVICE_TEST_CONFIG

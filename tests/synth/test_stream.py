@@ -1,9 +1,9 @@
-"""Streaming generation — chunked emitters, external merge, RNG replay.
+"""Streaming generation — chunked emitters and the external merge.
 
 The contract under test: `freeze_stream(stream)` writes a store whose
 fingerprint is identical to freezing the materialised graph, for every
-stream flavour (graph adapter, seed-replaying community generator,
-vectorised benchmark generator) and for any chunking.
+stream flavour (graph adapter, vectorised benchmark generator) and for
+any chunking.
 """
 
 import numpy as np
@@ -14,59 +14,15 @@ from repro.exceptions import GraphError, ScaleError
 from repro.graph.csr import MAX_PACKED_VERTICES
 from repro.graph.io.edgelist import iter_edge_chunks, iter_edges
 from repro.obs.manifest import fingerprint_context
-from repro.synth import (
-    CommunityGraphConfig,
-    benchmark_stream,
-    freeze_stream,
-    generate_community_graph,
-    stream_community_graph,
-)
+from repro.synth import benchmark_stream, freeze_stream
 from repro.synth import stream as stream_module
 from repro.synth.stream import _RUN_KEYS, GraphEdgeStream, _RunSpiller
-
-STREAM_CONFIG = CommunityGraphConfig(
-    num_nodes=400,
-    num_communities=12,
-    community_size_median=14.0,
-    community_size_sigma=0.5,
-    community_size_min=5,
-    community_size_max=60,
-    internal_degree_median=6.0,
-    internal_degree_sigma=0.5,
-    background_degree=4.0,
-    background_weight_sigma=0.6,
-)
 
 
 def store_fingerprint(stream, directory, **kwargs) -> str:
     return fingerprint_context(
         AnalysisContext.open(freeze_stream(stream, directory, **kwargs))
     )
-
-
-class TestCommunityStreamReplay:
-    def test_streamed_freeze_matches_materialised_graph(self, tmp_path):
-        graph, _ = generate_community_graph(STREAM_CONFIG, seed=3)
-        oracle = fingerprint_context(AnalysisContext(graph))
-        stream = stream_community_graph(STREAM_CONFIG, seed=3)
-        assert store_fingerprint(stream, tmp_path / "store") == oracle
-
-    def test_recorded_groups_match_generator(self, tmp_path):
-        _, oracle_groups = generate_community_graph(STREAM_CONFIG, seed=3)
-        stream = stream_community_graph(STREAM_CONFIG, seed=3)
-        freeze_stream(stream, tmp_path / "store")
-        recorded = stream.groups()
-        assert sorted(g.name for g in recorded) == sorted(
-            g.name for g in oracle_groups
-        )
-        oracle_members = {g.name: set(g.members) for g in oracle_groups}
-        for group in recorded:
-            assert set(group.members) == oracle_members[group.name]
-
-    def test_groups_before_consumption_raises(self):
-        stream = stream_community_graph(STREAM_CONFIG, seed=3)
-        with pytest.raises(GraphError):
-            stream.groups()
 
 
 class TestGraphEdgeStream:
