@@ -5,8 +5,9 @@ Scores ten thousand synthetic groups under every vectorizable registry
 function (all 15 minus TPR, whose triangle sweep is inherently
 per-group) twice:
 
-* **scalar** — the per-group ``__call__`` oracle over a prebuilt
-  ``GroupStats`` list (the pre-columnar ``score_groups`` inner loop:
+* **scalar** — each function's scalar twin from
+  ``tests/oracles/scoring.py`` over a prebuilt list of its
+  ``GroupStats`` rows (the pre-columnar ``score_groups`` inner loop:
   one interpreter dispatch per (group, function) pair);
 * **columnar** — one :func:`repro.scoring.columnar.score_matrix` pass
   over a prebuilt :class:`~repro.scoring.columnar.GroupStatsBatch`
@@ -35,6 +36,7 @@ import json
 import sys
 import time
 from collections.abc import Sequence
+from pathlib import Path
 
 import numpy as np
 
@@ -43,6 +45,12 @@ from repro.scoring.columnar import score_matrix
 from repro.scoring.internal import TriangleParticipationRatio
 from repro.scoring.registry import make_all_functions
 from repro.synth.random_graphs import erdos_renyi_graph
+
+# The scalar stage is the test oracle; put the repo's tests/ on the path
+# so this runs standalone as well as under pytest.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from oracles.scoring import row, scalar_twin  # noqa: E402
 
 #: Group-count floor of the full benchmark (acceptance criterion).
 MIN_GROUPS = 10_000
@@ -96,14 +104,12 @@ def run(smoke: bool = False, repeat: int = DEFAULT_REPEAT) -> dict:
         context, member_lists, graph_median_degree=median
     )
     stats_seconds = time.perf_counter() - start
-    stats_list = list(batch.rows())
+    stats_list = [row(batch, i) for i in range(len(batch))]
+    twins = [scalar_twin(function) for function in functions]
 
     def scalar_stage():
         return np.array(
-            [
-                [float(function(stats)) for function in functions]
-                for stats in stats_list
-            ],
+            [[float(twin(stats)) for twin in twins] for stats in stats_list],
             dtype=np.float64,
         )
 
@@ -148,7 +154,7 @@ def run(smoke: bool = False, repeat: int = DEFAULT_REPEAT) -> dict:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Benchmark columnar score_matrix against the scalar "
-        "per-group __call__ path"
+        "per-group oracle"
     )
     parser.add_argument(
         "--smoke",

@@ -42,7 +42,6 @@ _EXPORTS = {
     "PAPER_DATASETS": "repro.data.datasets",
     "MAGNO_REFERENCE": "repro.data.datasets",
     # scoring
-    "GroupStats": "repro.scoring.base",
     "Modularity": "repro.scoring.modularity",
     "NullModelEnsemble": "repro.scoring.modularity",
     "make_function": "repro.scoring.registry",

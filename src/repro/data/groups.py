@@ -194,8 +194,9 @@ def _group_fields(group: VertexGroup) -> dict:
 
 _GROUP_KINDS = {"group": VertexGroup, "circle": Circle, "community": Community}
 
-#: Member label types a sidecar may hold (JSON ints and strings).
-_MEMBER_TYPES = frozenset({int, str})
+#: Label types a sidecar may hold for members and owners (JSON ints
+#: and strings).
+_LABEL_TYPES = frozenset({int, str})
 
 #: Format marker of the sidecar written next to on-disk CSR stores so
 #: ``repro score --mmap-dir`` can rescore stored groups without the
@@ -204,18 +205,26 @@ GROUPS_FORMAT = "repro-groups"
 GROUPS_VERSION = 1
 
 
+def _is_json_label(value: object) -> bool:
+    """Whether ``value`` survives a JSON round trip as itself (int or str,
+    bool excluded)."""
+    return isinstance(value, (int, str)) and not isinstance(value, bool)
+
+
 def save_groups(groups: GroupSet, path: str | Path) -> Path:
     """Serialize a :class:`GroupSet` as a JSON sidecar file.
 
-    Members must be JSON-representable labels (int or str — the labels
-    an on-disk CSR store can carry).  The write is atomic (scratch file
-    + ``os.replace``) so a crashed freeze never leaves a torn sidecar.
+    Members and circle owners must be JSON-representable labels (int or
+    str — the labels an on-disk CSR store can carry); an owner may also
+    be None.  The write is atomic (scratch file + ``os.replace``) so a
+    crashed freeze never leaves a torn sidecar, and a failed write
+    removes its scratch file.
     """
     path = Path(path)
     records = []
     for group in groups:
         for member in group.members:
-            if not isinstance(member, (int, str)) or isinstance(member, bool):
+            if not _is_json_label(member):
                 raise FormatError(
                     f"group {group.name!r} has non-JSON member "
                     f"{member!r} ({type(member).__name__})"
@@ -225,8 +234,14 @@ def save_groups(groups: GroupSet, path: str | Path) -> Path:
             "name": group.name,
             "members": sorted(group.members, key=lambda v: (str(type(v)), v)),
         }
-        if isinstance(group, Circle) and group.owner is not None:
-            record["owner"] = group.owner
+        owner = group.owner if isinstance(group, Circle) else None
+        if owner is not None:
+            if not _is_json_label(owner):
+                raise FormatError(
+                    f"circle {group.name!r} has non-JSON owner {owner!r} "
+                    f"({type(owner).__name__}); owners are int, str or None"
+                )
+            record["owner"] = owner
         records.append(record)
     payload = {
         "format": GROUPS_FORMAT,
@@ -235,9 +250,12 @@ def save_groups(groups: GroupSet, path: str | Path) -> Path:
         "groups": records,
     }
     scratch = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    with open(scratch, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, separators=(",", ":"))
-    os.replace(scratch, path)
+    try:
+        with open(scratch, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, separators=(",", ":"))
+        os.replace(scratch, path)
+    finally:
+        scratch.unlink(missing_ok=True)  # gone already after a replace
     return path
 
 
@@ -246,7 +264,8 @@ def _read_sidecar(path: str | Path) -> tuple[str, list[dict]]:
 
     Each record is checked the way :func:`save_groups` writes it, with
     one type-set pass over its members: ``name`` is a unique, non-empty
-    str and ``members`` a non-empty list of int or str (no bool).  Any
+    str, ``members`` a non-empty list of int or str (no bool) and
+    ``owner``, when present, an int, a str or null.  Any
     damage raises :class:`~repro.exceptions.FormatError` naming the file
     and the group.
     """
@@ -290,8 +309,8 @@ def _check_sidecar(path: Path, payload: object) -> tuple[str, list[dict]]:
             raise FormatError(
                 f"{path}: group {name!r} needs a non-empty members list"
             )
-        if not set(map(type, members)) <= _MEMBER_TYPES:
-            bad = next(m for m in members if type(m) not in _MEMBER_TYPES)
+        if not set(map(type, members)) <= _LABEL_TYPES:
+            bad = next(m for m in members if type(m) not in _LABEL_TYPES)
             raise FormatError(
                 f"{path}: group {name!r} has member {bad!r} "
                 f"({type(bad).__name__}); members are int or str"
@@ -300,6 +319,12 @@ def _check_sidecar(path: Path, payload: object) -> tuple[str, list[dict]]:
         if type(kind) is not str or kind not in _GROUP_KINDS:
             raise FormatError(
                 f"{path}: group {name!r} has unknown kind {kind!r}"
+            )
+        owner = record.get("owner")
+        if owner is not None and type(owner) not in _LABEL_TYPES:
+            raise FormatError(
+                f"{path}: group {name!r} has owner {owner!r} "
+                f"({type(owner).__name__}); owners are int, str or null"
             )
     return str(payload.get("name", "")), records
 

@@ -470,10 +470,8 @@ def batch_group_stats_columns(
     ``c_C`` counts boundary arcs of either direction, ``d(v) = d_in +
     d_out``.  The whole batch shares one frozen context and one
     vectorized membership pass per orientation, and no per-group object
-    is ever assembled: ``GroupStatsBatch.row(i)`` reconstructs the
-    ``i``-th :class:`~repro.scoring.base.GroupStats` on demand, and the
-    columnar scoring kernels in :mod:`repro.scoring.columnar` consume the
-    batch wholesale.  ``include_internal_adjacency`` additionally fills
+    is ever assembled: every scoring function's ``score_batch`` consumes
+    the batch wholesale.  ``include_internal_adjacency`` additionally fills
     ``member_internal_neighbors`` (needed only by TPR).  ``strategy``
     selects the membership kernel; the default ``"auto"`` compares the
     two kernels' predicted entry counts for the batch.

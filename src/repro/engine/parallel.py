@@ -324,8 +324,7 @@ def _score_shard(
     The shard is one ids slice plus its rebased offsets, already
     canonical, so it goes straight to the stats pass.  Returns the
     shard's sizes and its packed ``(G, F)`` score-matrix block — a few
-    contiguous float64 arrays on the IPC channel instead of pickled
-    per-group ``GroupStats`` objects.
+    contiguous float64 arrays on the IPC channel, no per-group objects.
     """
     from repro.scoring.columnar import score_stats_columns
 

@@ -702,9 +702,14 @@ class CSRStore:
                 f"store {self.directory} has no array {array_name!r}; "
                 f"available: {', '.join(self.array_names())}"
             ) from None
-        count = int(entry["count"])
+        count = entry["count"]
         path = self.directory / entry["file"]
-        actual = path.stat().st_size
+        try:
+            actual = path.stat().st_size
+        except FileNotFoundError:
+            raise GraphError(
+                f"corrupt CSR store: array file {path} is missing"
+            ) from None
         if actual != count * 8:
             raise GraphError(
                 f"corrupt CSR store: {path} holds {actual} bytes, "
@@ -716,19 +721,38 @@ class CSRStore:
 
     def node_index(self) -> tuple[Sequence[Node], dict]:
         """Rebuild ``(nodes, index_of)`` — virtual when labels are ids."""
-        n = int(self.meta["n"])
+        n = self.meta["n"]
         node_entry = self.meta.get("nodes")
         if node_entry is None:
             return IdentityNodes(n), IdentityIndex(n)
-        labels = json.loads(
-            (self.directory / node_entry).read_text(encoding="utf-8")
-        )
+        path = self.directory / node_entry
+        try:
+            labels = json.loads(path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            raise GraphError(
+                f"corrupt CSR store: label file {path} is missing"
+            ) from None
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise GraphError(
+                f"corrupt CSR store: {path} is not valid JSON ({exc})"
+            ) from None
+        if not isinstance(labels, list):
+            raise GraphError(f"corrupt CSR store: {path} is not a JSON list")
         if len(labels) != n:
             raise GraphError(
                 f"corrupt CSR store: {node_entry} lists {len(labels)} "
                 f"labels for {n} vertices"
             )
-        return labels, {label: i for i, label in enumerate(labels)}
+        try:
+            index_of = {label: i for i, label in enumerate(labels)}
+        except TypeError:  # a list or object label
+            index_of = {}
+        if len(index_of) != n:
+            raise GraphError(
+                f"corrupt CSR store: {node_entry} holds an unhashable or "
+                f"repeated label"
+            )
+        return labels, index_of
 
 
 def open_csr_dir(directory: str | Path) -> CSRStore:
@@ -740,16 +764,67 @@ def open_csr_dir(directory: str | Path) -> CSRStore:
             f"{directory} is not a CSR store (no meta.json); write one "
             f"with AnalysisContext.save or repro freeze"
         )
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise GraphError(
+            f"corrupt CSR store: {meta_path} is not valid JSON ({exc})"
+        ) from None
+    if not isinstance(meta, dict):
+        raise GraphError(f"corrupt CSR store: {meta_path} is not a JSON object")
     if meta.get("format") != CSR_DIR_FORMAT:
         raise GraphError(
             f"{meta_path} is not a {CSR_DIR_FORMAT} store "
             f"(format={meta.get('format')!r})"
         )
-    version = int(meta.get("version", 0))
+    version = meta.get("version", 0)
+    if type(version) is not int:
+        raise GraphError(
+            f"corrupt CSR store: {meta_path} has version {version!r}"
+        )
     if version > CSR_DIR_VERSION:
         raise GraphError(
             f"CSR store {directory} has format version {version}, newer "
             f"than this build supports ({CSR_DIR_VERSION}); upgrade repro"
         )
+    _check_meta(meta_path, meta)
     return CSRStore(directory, meta)
+
+
+#: The scalar ``meta.json`` fields a reader relies on, with their JSON
+#: types (``NoneType`` marks an optional field).
+_META_FIELDS = {
+    "n": (int,),
+    "m": (int,),
+    "directed": (bool,),
+    "nodes": (str, type(None)),
+    "median_degree": (int, float, type(None)),
+}
+
+
+def _check_meta(meta_path: Path, meta: dict) -> None:
+    """Raise :class:`GraphError` naming ``meta_path`` unless the fields a
+    reader relies on are present and well typed."""
+
+    def damaged(detail: str) -> GraphError:
+        return GraphError(f"corrupt CSR store: {meta_path} {detail}")
+
+    for key, kinds in _META_FIELDS.items():
+        value = meta.get(key)
+        if type(value) not in kinds:
+            names = " or ".join(kind.__name__ for kind in kinds)
+            raise damaged(f"needs {key!r} as {names}, got {value!r}")
+    arrays = meta.get("arrays")
+    if not isinstance(arrays, dict):
+        raise damaged(f"needs 'arrays' as an object, got {arrays!r}")
+    for name, entry in arrays.items():
+        if not (
+            isinstance(entry, dict)
+            and type(entry.get("file")) is str
+            and type(entry.get("count")) is int
+            and entry["count"] >= 0
+        ):
+            raise damaged(
+                f"has a malformed entry for array {name!r}: {entry!r} "
+                f"(needs 'file' as str and 'count' as int >= 0)"
+            )

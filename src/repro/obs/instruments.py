@@ -41,7 +41,6 @@ __all__ = [
     "SCORE_GROUPS_CALLS",
     "SCORES_COMPUTED",
     "SCORING_VECTORIZED",
-    "SCORING_SCALAR",
     "SCORING_BATCH_GROUPS",
     "EXPERIMENT_RUNS",
     "MANIFESTS_RECORDED",
@@ -199,13 +198,6 @@ SCORING_VECTORIZED = REGISTRY.counter(
     "score_batch kernel dispatches over a columnar batch "
     "(label: function name)",
     unit="calls",
-)
-
-SCORING_SCALAR = REGISTRY.counter(
-    "scoring.scalar_calls",
-    "per-group scalar __call__ evaluations taken by the columnar "
-    "fallback path (label: function name)",
-    unit="groups",
 )
 
 SCORING_BATCH_GROUPS = REGISTRY.histogram(

@@ -4,11 +4,8 @@ from repro._lazy import lazy_exports
 
 #: Each export and the module that defines it, imported on first access.
 _EXPORTS = {
-    "GroupStats": "repro.scoring.base",
     "GroupStatsBatch": "repro.scoring.columnar",
     "ScoringFunction": "repro.scoring.base",
-    "scalar_score_column": "repro.scoring.columnar",
-    "score_function_column": "repro.scoring.columnar",
     "score_matrix": "repro.scoring.columnar",
     "score_stats_columns": "repro.scoring.columnar",
     "AverageDegree": "repro.scoring.internal",
@@ -27,7 +24,6 @@ _EXPORTS = {
     "Separability": "repro.scoring.combined",
     "Modularity": "repro.scoring.modularity",
     "NullModelEnsemble": "repro.scoring.modularity",
-    "analytic_expected_internal_edges": "repro.scoring.modularity",
     "PAPER_FUNCTION_NAMES": "repro.scoring.registry",
     "ScoreTable": "repro.scoring.registry",
     "make_function": "repro.scoring.registry",

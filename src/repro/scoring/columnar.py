@@ -1,18 +1,16 @@
 """Struct-of-arrays scoring: one column per statistic, no per-group objects.
 
-:class:`~repro.scoring.base.GroupStats` is a fine value object for one
-group, but scoring tens of thousands of groups through it costs one
-Python object, one frozen-dataclass ``__dict__`` and one interpreter
-``__call__`` per (group, function) pair — at the paper's Google+ scale
-(~25k circles per store) that scalar stage dominates warm scoring runs.
-:class:`GroupStatsBatch` keeps the *same* statistics as parallel int64
-columns (``n_C``, ``m_C``, ``c_C``) plus flat per-member arrays sliced
-by ``group_offsets``; every scoring function then evaluates all groups
-in a handful of numpy kernel calls via its ``score_batch`` method.
+:class:`GroupStatsBatch` keeps the paper's Table I statistics for a
+whole batch of groups as parallel int64 columns (``n_C``, ``m_C``,
+``c_C``) plus flat per-member arrays sliced by ``group_offsets``; every
+scoring function evaluates all groups at once through its
+``score_batch`` method, the one implementation of its formula.  Most
+take a handful of numpy kernel calls; TPR's triangle sweep and sampled
+Modularity's null-ensemble probe loop over the groups inside their own
+``score_batch``.
 
-The contract is **bitwise identity**: for every registry function,
-``score_batch(batch)`` must equal the scalar ``__call__`` oracle applied
-row by row, byte for byte (``tests/scoring/test_columnar_identity.py``
+The scores are pinned **bitwise** to the scalar per-group formulas kept
+in ``tests/oracles/scoring.py`` (``tests/scoring/test_columnar_identity.py``
 enforces this with hypothesis).  The kernels therefore mirror the scalar
 arithmetic operation for operation — int64 counts divide as float64
 exactly like Python ints, conditionals become ``np.where`` over the same
@@ -23,8 +21,8 @@ run per group slice rather than through ``reduceat``.
 executor's workers, the service micro-batcher and the serial
 ``score_groups`` path all route through it, so the three call sites
 cannot drift (``tests/scoring/test_columnar_identity.py`` reads the
-``scoring.vectorized_calls`` and ``scoring.scalar_calls`` counters to
-pin that the serial paths score through it).
+``scoring.vectorized_calls`` counter to pin that the serial paths score
+through it).
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ import numpy as np
 
 from repro import obs
 from repro.obs import instruments
-from repro.scoring.base import GroupStats, ScoringFunction
+from repro.scoring.base import ScoringFunction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.engine.context import AnalysisContext
@@ -48,8 +46,6 @@ Node = Hashable
 
 __all__ = [
     "GroupStatsBatch",
-    "scalar_score_column",
-    "score_function_column",
     "score_matrix",
     "score_stats_columns",
     "stats_options",
@@ -60,17 +56,14 @@ __all__ = [
 class GroupStatsBatch:
     """Statistics of many vertex groups, one array per field.
 
-    The batch analogue of :class:`~repro.scoring.base.GroupStats`:
-    graph-level scalars are stored once, per-group counts are int64
+    Graph-level scalars are stored once, per-group counts are int64
     columns aligned with the batch order, and per-member breakdowns are
     flat arrays segmented by :attr:`group_offsets` (group ``i`` owns
     ``[group_offsets[i], group_offsets[i + 1])``).  Produced by
     :func:`repro.engine.batch_group_stats_columns` without materializing
-    any per-group object; :meth:`row` reconstructs a single
-    :class:`GroupStats` lazily where object-at-a-time code still needs
-    one.  Member labels are likewise kept as flat canonical ids plus the
-    context's labels, and :attr:`members` is built on first read: none
-    of the paper's four functions reads it.
+    any per-group object.  Member labels are likewise kept as flat
+    canonical ids plus the context's labels, and :attr:`members` is
+    built on first read: only sampled Modularity reads it.
     """
 
     #: number of vertices / edges of the whole graph
@@ -174,93 +167,24 @@ class GroupStatsBatch:
             return np.zeros(0, dtype=per_member.dtype)
         return np.maximum.reduceat(per_member, self.group_offsets[:-1])
 
-    def row(self, i: int) -> GroupStats:
-        """Reconstruct group ``i`` as a lazy :class:`GroupStats` view.
-
-        The per-member arrays are slices of the batch's flat arrays (no
-        copy).  This is the only source of a row :class:`GroupStats`:
-        the scalar ``__call__`` oracle and :func:`scalar_score_column`
-        both read groups through it.
-        """
-        lo = int(self.group_offsets[i])
-        hi = int(self.group_offsets[i + 1])
-        neighbors: tuple[np.ndarray, ...] | None = None
-        if self.member_internal_neighbors is not None:
-            neighbors = tuple(self.member_internal_neighbors[lo:hi])
-        stats = GroupStats.__new__(GroupStats)
-        stats.__dict__.update(
-            members=self.members[i],
-            n=self.n,
-            m=self.m,
-            n_C=hi - lo,
-            m_C=int(self.m_C[i]),
-            c_C=int(self.c_C[i]),
-            directed=self.directed,
-            member_degrees=self.member_degrees[lo:hi],
-            member_internal_degrees=self.member_internal_degrees[lo:hi],
-            member_in_degrees=self.member_in_degrees[lo:hi],
-            member_out_degrees=self.member_out_degrees[lo:hi],
-            graph_median_degree=self.graph_median_degree,
-            member_internal_neighbors=neighbors,
-        )
-        return stats
-
-    def rows(self) -> Iterable[GroupStats]:
-        """Yield every group as a lazy :class:`GroupStats` view."""
-        for i in range(len(self.n_C)):
-            yield self.row(i)
-
-
-def scalar_score_column(
-    function: ScoringFunction, batch: GroupStatsBatch
-) -> np.ndarray:
-    """Score a batch one group at a time through the scalar ``__call__``.
-
-    The fallback for functions whose formula is inherently per-group
-    (TPR's triangle sweep, sampled Modularity's null-ensemble probe) or
-    for third-party functions without a ``score_batch`` method.  Counted
-    on ``scoring.scalar_calls``.
-    """
-    if obs.enabled():
-        instruments.SCORING_SCALAR.inc(len(batch), label=function.name)
-    return np.array(
-        [float(function(batch.row(i))) for i in range(len(batch))],
-        dtype=np.float64,
-    )
-
-
-def score_function_column(
-    function: ScoringFunction, batch: GroupStatsBatch
-) -> np.ndarray:
-    """Score one function over a batch, vectorized when possible.
-
-    Dispatches to the function's ``score_batch`` kernel (counted on
-    ``scoring.vectorized_calls``) and falls back to
-    :func:`scalar_score_column` for functions that define none.
-    """
-    score_batch = getattr(function, "score_batch", None)
-    if score_batch is None:
-        return scalar_score_column(function, batch)
-    if obs.enabled():
-        instruments.SCORING_VECTORIZED.inc(label=function.name)
-    return np.asarray(score_batch(batch), dtype=np.float64)
-
 
 def score_matrix(
     functions: Sequence[ScoringFunction], batch: GroupStatsBatch
 ) -> np.ndarray:
     """Score a batch under many functions into one ``(G, F)`` matrix.
 
-    Column ``j`` holds ``functions[j]``'s scores in batch order, bitwise
-    identical to the scalar ``__call__`` oracle.  This is the single
-    scoring stage shared by the serial ``score_groups`` path, the
-    parallel executor's workers and the service micro-batcher.
+    Column ``j`` holds ``functions[j].score_batch(batch)`` (counted on
+    ``scoring.vectorized_calls``).  This is the single scoring stage
+    shared by the serial ``score_groups`` path, the parallel executor's
+    workers and the service micro-batcher.
     """
     if obs.enabled():
         instruments.SCORING_BATCH_GROUPS.observe(len(batch))
     matrix = np.empty((len(batch), len(functions)), dtype=np.float64)
     for j, function in enumerate(functions):
-        matrix[:, j] = score_function_column(function, batch)
+        if obs.enabled():
+            instruments.SCORING_VECTORIZED.inc(label=function.name)
+        matrix[:, j] = function.score_batch(batch)
     return matrix
 
 

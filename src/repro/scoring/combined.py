@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.scoring.base import GroupStats
 from repro.scoring.columnar import GroupStatsBatch
 
 __all__ = [
@@ -27,9 +26,8 @@ __all__ = [
 def _member_outside_fractions(batch: GroupStatsBatch) -> np.ndarray:
     """Per-member outside-edge fractions, flat across the whole batch.
 
-    Mirrors the ODF scalar paths' per-group arithmetic exactly — the
-    expression is elementwise, so computing it over the concatenated
-    member arrays yields the same float64 values the per-group arrays
+    The expression is elementwise, so computing it over the concatenated
+    member arrays yields the same float64 values each group's own slice
     would.
     """
     degrees = batch.member_degrees
@@ -50,14 +48,7 @@ class Conductance:
 
     name = "conductance"
 
-    def __call__(self, stats: GroupStats) -> float:
-        volume = 2 * stats.m_C + stats.c_C
-        if volume == 0:
-            return 0.0
-        return stats.c_C / volume
-
     def score_batch(self, batch: GroupStatsBatch) -> np.ndarray:
-        """Score a columnar batch (bitwise identical to ``__call__``)."""
         volume = 2 * batch.m_C + batch.c_C
         return np.where(volume == 0, 0.0, batch.c_C / np.maximum(volume, 1))
 
@@ -68,15 +59,7 @@ class NormalizedCut:
 
     name = "normalized_cut"
 
-    def __call__(self, stats: GroupStats) -> float:
-        first_volume = 2 * stats.m_C + stats.c_C
-        second_volume = 2 * (stats.m - stats.m_C) + stats.c_C
-        first = stats.c_C / first_volume if first_volume else 0.0
-        second = stats.c_C / second_volume if second_volume else 0.0
-        return first + second
-
     def score_batch(self, batch: GroupStatsBatch) -> np.ndarray:
-        """Score a columnar batch (bitwise identical to ``__call__``)."""
         first_volume = 2 * batch.m_C + batch.c_C
         second_volume = 2 * (batch.m - batch.m_C) + batch.c_C
         first = np.where(
@@ -96,19 +79,12 @@ class MaxOutDegreeFraction:
 
     name = "max_odf"
 
-    def __call__(self, stats: GroupStats) -> float:
-        degrees = stats.member_degrees
-        outside = stats.member_boundary_degrees
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fractions = np.where(degrees > 0, outside / np.maximum(degrees, 1), 0.0)
-        return float(fractions.max()) if fractions.size else 0.0
-
     def score_batch(self, batch: GroupStatsBatch) -> np.ndarray:
-        """Score a columnar batch (bitwise identical to ``__call__``).
+        """Score a columnar batch.
 
         The per-member fractions are elementwise, and a float maximum is
-        exact in any order, so the segment ``reduceat`` matches the
-        scalar path's per-group ``.max()`` byte for byte.
+        exact in any order, so the segment ``reduceat`` matches a
+        per-group ``.max()`` byte for byte.
         """
         fractions = _member_outside_fractions(batch)
         return batch.group_max(fractions)
@@ -119,19 +95,12 @@ class AverageOutDegreeFraction:
 
     name = "avg_odf"
 
-    def __call__(self, stats: GroupStats) -> float:
-        degrees = stats.member_degrees
-        outside = stats.member_boundary_degrees
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fractions = np.where(degrees > 0, outside / np.maximum(degrees, 1), 0.0)
-        return float(fractions.mean()) if fractions.size else 0.0
-
     def score_batch(self, batch: GroupStatsBatch) -> np.ndarray:
-        """Score a columnar batch (bitwise identical to ``__call__``).
+        """Score a columnar batch.
 
         Float means are order-sensitive (numpy sums pairwise), so each
         group's mean runs on its own contiguous slice — same length,
-        same values, same summation tree as the scalar path — instead
+        same values, same summation tree as a per-group mean — instead
         of through a sequential ``reduceat``.
         """
         fractions = _member_outside_fractions(batch)
@@ -148,13 +117,7 @@ class FlakeOutDegreeFraction:
 
     name = "flake_odf"
 
-    def __call__(self, stats: GroupStats) -> float:
-        internal = stats.member_internal_degrees
-        flake = int((internal < stats.member_degrees / 2.0).sum())
-        return flake / stats.n_C
-
     def score_batch(self, batch: GroupStatsBatch) -> np.ndarray:
-        """Score a columnar batch (bitwise identical to ``__call__``)."""
         flake = batch.group_sum(
             (
                 batch.member_internal_degrees < batch.member_degrees / 2.0
@@ -172,13 +135,7 @@ class Separability:
 
     name = "separability"
 
-    def __call__(self, stats: GroupStats) -> float:
-        if stats.c_C == 0:
-            return float("inf") if stats.m_C else 0.0
-        return stats.m_C / stats.c_C
-
     def score_batch(self, batch: GroupStatsBatch) -> np.ndarray:
-        """Score a columnar batch (bitwise identical to ``__call__``)."""
         isolated = np.where(batch.m_C != 0, np.inf, 0.0)
         return np.where(
             batch.c_C == 0, isolated, batch.m_C / np.maximum(batch.c_C, 1)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.scoring.base import GroupStats
 from repro.scoring.columnar import GroupStatsBatch
 
 __all__ = ["RatioCut", "ScaledRatioCut", "Expansion"]
@@ -29,14 +28,7 @@ class RatioCut:
 
     name = "ratio_cut"
 
-    def __call__(self, stats: GroupStats) -> float:
-        complement = stats.n - stats.n_C
-        if complement == 0:
-            return 0.0
-        return stats.c_C / (stats.n_C * complement)
-
     def score_batch(self, batch: GroupStatsBatch) -> np.ndarray:
-        """Score a columnar batch (bitwise identical to ``__call__``)."""
         complement = batch.n - batch.n_C
         denominator = batch.n_C * np.maximum(complement, 1)
         return np.where(complement == 0, 0.0, batch.c_C / denominator)
@@ -53,14 +45,7 @@ class ScaledRatioCut:
 
     name = "scaled_ratio_cut"
 
-    def __call__(self, stats: GroupStats) -> float:
-        complement = stats.n - stats.n_C
-        if complement == 0:
-            return 0.0
-        return stats.n * stats.c_C / (stats.n_C * complement)
-
     def score_batch(self, batch: GroupStatsBatch) -> np.ndarray:
-        """Score a columnar batch (bitwise identical to ``__call__``)."""
         complement = batch.n - batch.n_C
         denominator = batch.n_C * np.maximum(complement, 1)
         return np.where(
@@ -73,9 +58,5 @@ class Expansion:
 
     name = "expansion"
 
-    def __call__(self, stats: GroupStats) -> float:
-        return stats.c_C / stats.n_C
-
     def score_batch(self, batch: GroupStatsBatch) -> np.ndarray:
-        """Score a columnar batch (bitwise identical to ``__call__``)."""
         return batch.c_C / batch.n_C

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.scoring.base import GroupStats
-from repro.scoring.columnar import GroupStatsBatch, scalar_score_column
+from repro.scoring.columnar import GroupStatsBatch
 
 __all__ = [
     "AverageDegree",
@@ -33,11 +32,7 @@ class AverageDegree:
 
     name = "average_degree"
 
-    def __call__(self, stats: GroupStats) -> float:
-        return 2.0 * stats.m_C / stats.n_C
-
     def score_batch(self, batch: GroupStatsBatch) -> np.ndarray:
-        """Score a columnar batch (bitwise identical to ``__call__``)."""
         return 2.0 * batch.m_C / batch.n_C
 
 
@@ -50,17 +45,10 @@ class InternalDensity:
 
     name = "internal_density"
 
-    def __call__(self, stats: GroupStats) -> float:
-        possible = stats.possible_internal_edges
-        if possible == 0:
-            return 0.0
-        return stats.m_C / possible
-
     def score_batch(self, batch: GroupStatsBatch) -> np.ndarray:
-        """Score a columnar batch (bitwise identical to ``__call__``)."""
         possible = batch.possible_internal_edges
         # np.maximum only rewrites the lanes np.where masks to 0.0, so
-        # every surviving quotient divides by the scalar path's value.
+        # every surviving quotient divides by the group's own count.
         return np.where(possible == 0, 0.0, batch.m_C / np.maximum(possible, 1))
 
 
@@ -69,11 +57,7 @@ class EdgesInside:
 
     name = "edges_inside"
 
-    def __call__(self, stats: GroupStats) -> float:
-        return float(stats.m_C)
-
     def score_batch(self, batch: GroupStatsBatch) -> np.ndarray:
-        """Score a columnar batch (bitwise identical to ``__call__``)."""
         return batch.m_C.astype(np.float64)
 
 
@@ -81,33 +65,20 @@ class FractionOverMedianDegree:
     """FOMD: fraction of members whose *internal* degree exceeds the median
     total degree of the whole graph.
 
-    Requires ``stats.graph_median_degree``: the graph-wide median is not a
-    group statistic, and :class:`GroupStats` deliberately carries no graph
-    reference.  The batch drivers (:func:`repro.scoring.registry.score_groups`
-    and the engine) fill it in once per graph from
+    Requires ``batch.graph_median_degree``: the graph-wide median is not a
+    group statistic, and a batch deliberately carries no graph reference.
+    The batch drivers (:func:`repro.scoring.registry.score_groups` and the
+    engine) fill it in once per graph from
     :attr:`repro.engine.AnalysisContext.median_degree`.
     """
 
     name = "fomd"
 
-    def __call__(self, stats: GroupStats) -> float:
-        median = stats.graph_median_degree
-        if median is None:
-            raise ValueError(
-                "FOMD needs stats.graph_median_degree; pass "
-                "graph_median_degree= when computing the stats (e.g. "
-                "AnalysisContext.median_degree) or score through "
-                "score_groups()"
-            )
-        over = int((stats.member_internal_degrees > median).sum())
-        return over / stats.n_C
-
     def score_batch(self, batch: GroupStatsBatch) -> np.ndarray:
-        """Score a columnar batch (bitwise identical to ``__call__``)."""
         median = batch.graph_median_degree
         if median is None:
             raise ValueError(
-                "FOMD needs stats.graph_median_degree; pass "
+                "FOMD needs batch.graph_median_degree; pass "
                 "graph_median_degree= when computing the stats (e.g. "
                 "AnalysisContext.median_degree) or score through "
                 "score_groups()"
@@ -127,31 +98,32 @@ class TriangleParticipationRatio:
 
     name = "tpr"
 
-    def __call__(self, stats: GroupStats) -> float:
-        rows = stats.member_internal_neighbors
-        if rows is None:
-            raise ValueError(
-                "TPR needs stats.member_internal_neighbors; compute the "
-                "stats with include_internal_adjacency=True (opt-in for "
-                "batch_group_stats_columns) or score through score_groups()"
-            )
-        # Position-indexed neighbour sets over the induced skeleton.
-        inside = [set(row.tolist()) for row in rows]
-        in_triangle = 0
-        for i, neighbors in enumerate(inside):
-            others = neighbors - {i}
-            for u in neighbors:
-                if inside[u] & others:
-                    in_triangle += 1
-                    break
-        return in_triangle / stats.n_C
-
     def score_batch(self, batch: GroupStatsBatch) -> np.ndarray:
         """Score a columnar batch, one group at a time.
 
-        The triangle sweep is inherently per-group set algebra; the
-        columnar entry point exists so TPR plugs into
-        :func:`~repro.scoring.columnar.score_matrix` like every other
-        function, at the scalar path's cost (and on its counter).
+        The triangle sweep is per-group set algebra over the group's
+        slice of ``batch.member_internal_neighbors`` (rows of member
+        positions within the group).
         """
-        return scalar_score_column(self, batch)
+        rows = batch.member_internal_neighbors
+        if rows is None:
+            raise ValueError(
+                "TPR needs batch.member_internal_neighbors; compute the "
+                "stats with include_internal_adjacency=True (opt-in for "
+                "batch_group_stats_columns) or score through score_groups()"
+            )
+        offsets = batch.group_offsets.tolist()
+        scores = np.empty(len(batch), dtype=np.float64)
+        for g in range(len(batch)):
+            lo, hi = offsets[g], offsets[g + 1]
+            # Position-indexed neighbour sets over the induced skeleton.
+            inside = [set(row.tolist()) for row in rows[lo:hi]]
+            in_triangle = 0
+            for i, neighbors in enumerate(inside):
+                others = neighbors - {i}
+                for u in neighbors:
+                    if inside[u] & others:
+                        in_triangle += 1
+                        break
+            scores[g] = in_triangle / (hi - lo)
+        return scores

@@ -30,8 +30,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
 from repro.exceptions import SamplingError
 from repro.sampling.seeds import spawn_generators
-from repro.scoring.base import GroupStats
-from repro.scoring.columnar import GroupStatsBatch, scalar_score_column
+from repro.scoring.columnar import GroupStatsBatch
 
 
 def _generate_null_graph(
@@ -74,42 +73,20 @@ def _generate_null_graph(
 
 Node = Hashable
 
-__all__ = ["Modularity", "NullModelEnsemble", "analytic_expected_internal_edges"]
-
-
-def analytic_expected_internal_edges(stats: GroupStats) -> float:
-    """Closed-form configuration-model expectation of :math:`m_C`.
-
-    Undirected: each unordered pair ``{u, v}`` inside C is an edge with
-    probability ``d_u d_v / 2m``.  Directed: each ordered pair ``(u, v)``
-    is an edge with probability ``d_out(u) d_in(v) / m``.
-    """
-    if stats.m == 0:
-        return 0.0
-    if stats.directed:
-        out_sum = float(stats.member_out_degrees.sum())
-        in_sum = float(stats.member_in_degrees.sum())
-        self_pairs = float(
-            (stats.member_out_degrees * stats.member_in_degrees).sum()
-        )
-        return (out_sum * in_sum - self_pairs) / stats.m
-    degrees = stats.member_degrees.astype(np.float64)
-    degree_sum = float(degrees.sum())
-    square_sum = float((degrees * degrees).sum())
-    return (degree_sum * degree_sum - square_sum) / (4.0 * stats.m)
+__all__ = ["Modularity", "NullModelEnsemble"]
 
 
 def _expected_internal_edges_batch(batch: GroupStatsBatch) -> np.ndarray:
-    """Per-group configuration-model expectation of :math:`m_C`.
+    """Closed-form configuration-model expectation of :math:`m_C`, per group.
 
-    The batch analogue of :func:`analytic_expected_internal_edges`: the
-    per-group degree sums are integer reductions (exact in any order for
-    the magnitudes a graph can produce), and the closing float
-    arithmetic repeats the scalar path's operations elementwise, so the
-    column is bitwise identical to the scalar expectations.
+    Undirected: each unordered pair ``{u, v}`` inside C is an edge with
+    probability ``d_u d_v / 2m``.  Directed: each ordered pair ``(u, v)``
+    is an edge with probability ``d_out(u) d_in(v) / m``.  The per-group
+    degree sums are integer reductions (exact in any order for the
+    magnitudes a graph can produce), and the closing float arithmetic
+    runs elementwise, so each group's value is the one its own degree
+    sums give.  Callers handle the edgeless graph (``m == 0``).
     """
-    if batch.m == 0:
-        return np.zeros(len(batch), dtype=np.float64)
     if batch.directed:
         out_sum = batch.group_sum(batch.member_out_degrees).astype(np.float64)
         in_sum = batch.group_sum(batch.member_in_degrees).astype(np.float64)
@@ -213,27 +190,25 @@ class Modularity:
         self.expectation = expectation
         self.ensemble = ensemble
 
-    def __call__(self, stats: GroupStats) -> float:
-        if stats.m == 0:
-            return 0.0
-        if self.expectation == "analytic":
-            expected = analytic_expected_internal_edges(stats)
-        else:
-            assert self.ensemble is not None
-            expected = self.ensemble.expected_internal_edges(stats.members)
-        return (stats.m_C - expected) / (2.0 * stats.m)
-
     def score_batch(self, batch: GroupStatsBatch) -> np.ndarray:
-        """Score a columnar batch (bitwise identical to ``__call__``).
+        """Score a columnar batch.
 
         Analytic expectations vectorize (integer degree reductions plus
         elementwise float closing arithmetic); the sampled strategy
-        probes the null ensemble per group and stays on the scalar
-        path.
+        probes the null ensemble once per group, with the group's member
+        labels.
         """
-        if self.expectation != "analytic":
-            return scalar_score_column(self, batch)
         if batch.m == 0:
             return np.zeros(len(batch), dtype=np.float64)
-        expected = _expected_internal_edges_batch(batch)
+        if self.expectation == "analytic":
+            expected = _expected_internal_edges_batch(batch)
+        else:
+            assert self.ensemble is not None
+            expected = np.array(
+                [
+                    self.ensemble.expected_internal_edges(members)
+                    for members in batch.members
+                ],
+                dtype=np.float64,
+            )
         return (batch.m_C - expected) / (2.0 * batch.m)

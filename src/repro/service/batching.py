@@ -72,7 +72,7 @@ class MicroBatcher:
     One instance serves every dataset; batches never mix coalescing
     keys, so a key is ``(dataset name, functions signature)`` — two
     requests scoring different function sets stay in separate kernel
-    invocations (their GroupStats requirements differ).  ``window`` is
+    invocations (their stats-pass options differ).  ``window`` is
     the least time a batch's oldest request waits before the batch may
     start (see the module docstring for the group-commit rule).
     """

@@ -39,6 +39,7 @@ DAMAGES = {
     "string-members": lambda payload: _first_group(payload, members="12"),
     "float-member": _extra_member(0.5),
     "bool-member": _extra_member(True),
+    "list-owner": lambda payload: _first_group(payload, owner=[5, 6]),
 }
 
 

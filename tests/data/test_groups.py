@@ -181,6 +181,34 @@ class TestGroupsJsonRoundTrip:
         with pytest.raises(FormatError, match="non-JSON member"):
             save_groups(bad, tmp_path / "groups.json")
 
+    @pytest.mark.parametrize(
+        "owner", [frozenset({9}), (5, 6), True, 1.5], ids=repr
+    )
+    def test_non_json_owner_rejected(self, tmp_path, owner):
+        """An owner that would not reload as itself is refused before
+        anything is written."""
+        from repro.data import save_groups
+        from repro.exceptions import FormatError
+
+        bad = GroupSet(
+            groups=[Circle(name="c", members=frozenset({1}), owner=owner)]
+        )
+        with pytest.raises(FormatError, match="non-JSON owner"):
+            save_groups(bad, tmp_path / "groups.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_leaves_no_scratch_file(self, tmp_path, monkeypatch):
+        import repro.data.groups as groups_module
+        from repro.data import save_groups
+
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(groups_module.json, "dump", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            save_groups(self._sample_set(), tmp_path / "groups.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_load_rejects_foreign_files(self, tmp_path):
         from repro.data import load_groups
         from repro.exceptions import FormatError

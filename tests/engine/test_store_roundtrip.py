@@ -7,15 +7,20 @@ attached buffers are read-only so nothing can mutate the store through
 a context.
 """
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.engine import AnalysisContext, ResultCache
 from repro.exceptions import GraphError
+from repro.graph.ugraph import Graph
 from repro.obs.instruments import GROUPS_SCORED
 from repro.obs.manifest import fingerprint_context
 from repro.scoring import score_groups
+from tests.engine.store_damage import STORE_DAMAGES, damage_store
 
 
 @pytest.fixture
@@ -64,6 +69,43 @@ class TestReadOnly:
     def test_open_missing_directory_raises(self, tmp_path):
         with pytest.raises(GraphError, match="meta.json"):
             AnalysisContext.open(tmp_path / "nope")
+
+    @pytest.mark.parametrize("damage", sorted(STORE_DAMAGES))
+    def test_damaged_metadata_raises_graph_error(
+        self, small_community_dataset, tmp_path, damage
+    ):
+        """A missing array file or a ``meta.json`` that does not parse or
+        lacks a well-typed field fails as GraphError naming the file."""
+        store = AnalysisContext(small_community_dataset.graph).save(
+            tmp_path / "store"
+        )
+        name = damage_store(store, damage)
+        with pytest.raises(GraphError, match=re.escape(name)):
+            AnalysisContext.open(store)
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["missing", "truncated", "not-a-list", "list-label", "repeated-label"],
+    )
+    def test_damaged_label_file_raises_graph_error(self, tmp_path, damage):
+        """Each damage keeps one label per vertex, so the length check
+        alone passes it."""
+        graph = Graph([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
+        store = AnalysisContext(graph).save(tmp_path / "store")
+        path = store / "nodes.json"
+        labels = json.loads(path.read_text(encoding="utf-8"))
+        texts = {
+            "truncated": json.dumps(labels)[:-5],
+            "not-a-list": json.dumps(dict.fromkeys(labels, 0)),
+            "list-label": json.dumps([[labels[0]]] + labels[1:]),
+            "repeated-label": json.dumps([labels[1]] + labels[1:]),
+        }
+        if damage == "missing":
+            path.unlink()
+        else:
+            path.write_text(texts[damage], encoding="utf-8")
+        with pytest.raises(GraphError, match="nodes.json"):
+            AnalysisContext.open(store)
 
     def test_save_refuses_existing_store_without_overwrite(
         self, undirected_pair, tmp_path

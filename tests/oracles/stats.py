@@ -5,7 +5,7 @@ once per group.  It was the production stats path before the columnar
 engine pass replaced it, and the identity tests keep it as the oracle
 that pass must match bit for bit.  :func:`batch_group_stats` and
 :func:`group_stats` return the production pass's groups as row
-:class:`~repro.scoring.base.GroupStats` objects, for tests written
+:class:`~oracles.scoring.GroupStats` objects, for tests written
 against rows.
 """
 
@@ -19,7 +19,8 @@ from repro.engine import AnalysisContext, batch_group_stats_columns
 from repro.exceptions import EmptyGroupError, NodeNotFound
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
-from repro.scoring.base import GroupStats
+
+from oracles.scoring import GroupStats, row
 
 Node = Hashable
 
@@ -145,11 +146,12 @@ def batch_group_stats(
     context: AnalysisContext, groups: Iterable[Iterable[Node]], **options
 ) -> list[GroupStats]:
     """Every group of one production batch pass, as a row object."""
-    return list(batch_group_stats_columns(context, groups, **options).rows())
+    batch = batch_group_stats_columns(context, groups, **options)
+    return [row(batch, i) for i in range(len(batch))]
 
 
 def group_stats(
     context: AnalysisContext, members: Iterable[Node], **options
 ) -> GroupStats:
     """One group through the production batch pass, as a row object."""
-    return batch_group_stats_columns(context, [members], **options).row(0)
+    return row(batch_group_stats_columns(context, [members], **options), 0)

@@ -1,14 +1,14 @@
 """Bitwise identity of the columnar scoring kernels vs the scalar oracle.
 
-The columnar fast path's contract (see ``repro/scoring/columnar.py``) is
-not "close": for every registry function, ``score_batch`` over a
-:class:`~repro.scoring.columnar.GroupStatsBatch` must produce the same
-float64 bytes as the per-group ``__call__`` oracle applied row by row.
-Hypothesis drives random graphs (directed and undirected) and group
-sets that always include the degenerate shapes — a singleton group, an
-isolated (edge-free) vertex, the whole graph (zero boundary), and a
-random subset — because those exercise every ``np.where`` guard lane
-in the kernels.
+Production has one implementation per scoring function, its
+``score_batch`` over a :class:`~repro.scoring.columnar.GroupStatsBatch`.
+The contract is not "close": it must produce the same float64 bytes as
+the function's scalar twin in ``tests/oracles/scoring.py`` applied row
+by row.  Hypothesis drives random graphs (directed and undirected) and
+group sets that always include the degenerate shapes — a singleton
+group, an isolated (edge-free) vertex, the whole graph (zero boundary),
+and a random subset — because those exercise every ``np.where`` guard
+lane in the kernels.
 """
 
 import numpy as np
@@ -17,14 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import AnalysisContext, batch_group_stats_columns
-from repro.scoring.columnar import (
-    GroupStatsBatch,
-    score_function_column,
-    score_matrix,
-)
+from repro.scoring.columnar import GroupStatsBatch, score_matrix
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
+from repro.scoring.modularity import Modularity, NullModelEnsemble
 from repro.scoring.registry import make_all_functions
+
+from oracles.scoring import scalar_scores
 
 
 @st.composite
@@ -72,6 +71,8 @@ def graph_and_groups(draw, directed):
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_score_batch_bitwise_identical_to_scalar_oracle(directed, data):
+    """Every registry function, plus Modularity over a sampled null
+    ensemble of the same graph."""
     graph, member_lists = data.draw(graph_and_groups(directed))
     context = AnalysisContext(graph)
     batch = batch_group_stats_columns(
@@ -80,15 +81,18 @@ def test_score_batch_bitwise_identical_to_scalar_oracle(directed, data):
         graph_median_degree=context.median_degree,
         include_internal_adjacency=True,  # TPR needs neighbour rows
     )
-    stats_list = list(batch.rows())
-    for function in make_all_functions():
-        oracle = np.array(
-            [float(function(stats)) for stats in stats_list],
-            dtype=np.float64,
-        )
-        column = score_function_column(function, batch)
+    ensemble = NullModelEnsemble(
+        graph, samples=2, seed=data.draw(st.integers(0, 2**16))
+    )
+    functions = make_all_functions() + [
+        Modularity(expectation="sampled", ensemble=ensemble)
+    ]
+    for function in functions:
+        column = function.score_batch(batch)
         assert column.dtype == np.float64
-        assert column.tobytes() == oracle.tobytes(), function.name
+        assert (
+            column.tobytes() == scalar_scores(function, batch).tobytes()
+        ), (function.name, vars(function))
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -107,7 +111,7 @@ def test_score_matrix_columns_match_per_function_scores(directed, data):
     matrix = score_matrix(functions, batch)
     assert matrix.shape == (len(batch), len(functions))
     for j, function in enumerate(functions):
-        expected = score_function_column(function, batch)
+        expected = function.score_batch(batch)
         assert (
             np.ascontiguousarray(matrix[:, j]).tobytes()
             == expected.tobytes()
@@ -129,7 +133,7 @@ def test_empty_batch_scores_to_zero_by_f_matrix():
 )
 def test_production_scoring_goes_through_score_matrix(entry, monkeypatch):
     """Each scoring entry point dispatches every function's batch kernel
-    exactly once and never takes the per-group scalar loop.
+    exactly once.
 
     ``parallel_shard`` runs the ``--jobs`` worker task in-process, with
     metrics on, against the worker's context slot: real workers run with
@@ -172,9 +176,7 @@ def test_production_scoring_goes_through_score_matrix(entry, monkeypatch):
             function.name: instruments.SCORING_VECTORIZED.value(function.name)
             for function in functions
         }
-        scalar = instruments.SCORING_SCALAR.total()
     finally:
         obs.disable()
         obs.REGISTRY.reset()
     assert vectorized == {function.name: 1 for function in functions}
-    assert scalar == 0

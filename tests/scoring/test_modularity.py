@@ -1,41 +1,47 @@
 """Modularity tests: analytic expectation, sampled null ensemble, and
-agreement with networkx's partition modularity."""
+agreement with networkx's partition modularity.
+
+Each score goes through the production path: the columnar stats pass,
+then ``Modularity.score_batch``."""
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from repro.engine import AnalysisContext, batch_group_stats_columns
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
-from repro.scoring.modularity import (
-    Modularity,
-    NullModelEnsemble,
-    analytic_expected_internal_edges,
-)
+from repro.scoring.modularity import Modularity, NullModelEnsemble
 
-from oracles.stats import compute_group_stats
+
+def modularity(graph, member_lists, function=None):
+    """Per-group Modularity of ``member_lists`` within ``graph``."""
+    batch = batch_group_stats_columns(AnalysisContext(graph), member_lists)
+    return (function or Modularity()).score_batch(batch).tolist()
 
 
 class TestAnalyticExpectation:
     def test_undirected_closed_form(self, two_cliques_graph):
-        stats = compute_group_stats(two_cliques_graph, [0, 1, 2, 3])
-        degrees = stats.member_degrees.astype(float)
-        expected = (degrees.sum() ** 2 - (degrees**2).sum()) / (4 * stats.m)
-        assert analytic_expected_internal_edges(stats) == pytest.approx(expected)
+        # Members 0-3 have degrees 3, 3, 3, 4 in a 13-edge graph, with the
+        # clique's 6 edges inside.
+        m = 13
+        expected = (13**2 - (3 * 3**2 + 4**2)) / (4 * m)
+        (value,) = modularity(two_cliques_graph, [[0, 1, 2, 3]])
+        assert value == pytest.approx((6 - expected) / (2 * m))
 
     def test_directed_closed_form(self, small_digraph):
-        stats = compute_group_stats(small_digraph, ["a", "b"])
-        value = analytic_expected_internal_edges(stats)
-        outs = stats.member_out_degrees.astype(float)
-        ins = stats.member_in_degrees.astype(float)
-        expected = (outs.sum() * ins.sum() - (outs * ins).sum()) / stats.m
-        assert value == pytest.approx(expected)
+        # a: out 1, in 1; b: out 2, in 1; a->b and b->a lie inside.
+        m = small_digraph.number_of_edges()
+        outs = np.array([1.0, 2.0])
+        ins = np.array([1.0, 1.0])
+        expected = (outs.sum() * ins.sum() - (outs * ins).sum()) / m
+        (value,) = modularity(small_digraph, [["a", "b"]])
+        assert value == pytest.approx((2 - expected) / (2 * m))
 
     def test_empty_graph_zero(self):
         graph = Graph()
         graph.add_nodes_from([1, 2])
-        stats = compute_group_stats(graph, [1, 2])
-        assert analytic_expected_internal_edges(stats) == 0.0
+        assert modularity(graph, [[1, 2]]) == [0.0]
 
     def test_partition_sum_relates_to_newman_modularity(self, two_cliques_graph):
         """Partition sum of paper scores = (Newman Q + self-pair term) / 2.
@@ -53,29 +59,24 @@ class TestAnalyticExpectation:
         self_pairs = sum(
             two_cliques_graph.degree[v] ** 2 for v in two_cliques_graph
         ) / (4.0 * m * m)
-        function = Modularity()
-        total = sum(
-            function(compute_group_stats(two_cliques_graph, block))
-            for block in partition
-        )
+        total = sum(modularity(two_cliques_graph, partition))
         assert 2 * total == pytest.approx(newman + self_pairs, abs=1e-9)
 
 
 class TestModularityFunction:
     def test_clique_positive(self, two_cliques_graph):
-        stats = compute_group_stats(two_cliques_graph, [0, 1, 2, 3])
-        assert Modularity()(stats) > 0
+        (value,) = modularity(two_cliques_graph, [[0, 1, 2, 3]])
+        assert value > 0
 
     def test_anti_community_negative(self, two_cliques_graph):
         # A spread-out set with no internal edges scores negative.
-        stats = compute_group_stats(two_cliques_graph, [0, 4])
-        assert Modularity()(stats) < 0
+        (value,) = modularity(two_cliques_graph, [[0, 4]])
+        assert value < 0
 
     def test_empty_graph_zero(self):
         graph = Graph()
         graph.add_nodes_from([1])
-        stats = compute_group_stats(graph, [1])
-        assert Modularity()(stats) == 0.0
+        assert modularity(graph, [[1]]) == [0.0]
 
     def test_invalid_expectation_rejected(self):
         with pytest.raises(ValueError):
@@ -103,18 +104,17 @@ class TestNullModelEnsemble:
 
     def test_sampled_expectation_tracks_analytic(self, two_cliques_graph):
         ensemble = NullModelEnsemble(two_cliques_graph, samples=20, seed=1)
-        members = [0, 1, 2, 3]
-        stats = compute_group_stats(two_cliques_graph, members)
-        sampled = ensemble.expected_internal_edges(members)
-        analytic = analytic_expected_internal_edges(stats)
+        sampled = ensemble.expected_internal_edges([0, 1, 2, 3])
+        # The closed form for degrees 3, 3, 3, 4 in a 13-edge graph.
+        analytic = (13**2 - (3 * 3**2 + 4**2)) / (4 * 13)
         # Connected null graphs are slightly constrained; agree within ~50%.
         assert sampled == pytest.approx(analytic, rel=0.5)
 
     def test_sampled_modularity_runs(self, two_cliques_graph):
         ensemble = NullModelEnsemble(two_cliques_graph, samples=3, seed=2)
         function = Modularity(expectation="sampled", ensemble=ensemble)
-        stats = compute_group_stats(two_cliques_graph, [0, 1, 2, 3])
-        assert function(stats) > 0
+        (value,) = modularity(two_cliques_graph, [[0, 1, 2, 3]], function)
+        assert value > 0
 
     def test_zero_samples_rejected(self, two_cliques_graph):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from repro.obs import instruments
 from repro.service import CircleService, ServiceConfig
 from repro.service.http import Request
 from tests.data.sidecar_damage import DAMAGES, damage_sidecar
+from tests.engine.store_damage import STORE_DAMAGES, damage_store
 from tests.service.conftest import freeze_dataset
 
 
@@ -68,6 +69,35 @@ class TestSimpleEndpoints:
         assert "service.requests" in payload
 
 
+def _dispatch_broken_routes(root):
+    """Dispatch every dataset route of the store ``broken`` under
+    ``root`` to a fresh service; return the responses."""
+    body = json.dumps(
+        {"groups": [{"name": "adhoc", "members": [0, 1, 2]}]}
+    ).encode("utf-8")
+    requests = [
+        ("GET", "/v1/datasets/broken", b""),
+        ("GET", "/v1/datasets/broken/groups", b""),
+        ("GET", "/v1/datasets/broken/score", b""),
+        ("POST", "/v1/datasets/broken/score", body),
+    ]
+
+    async def harness():
+        service = CircleService(ServiceConfig(root=root, port=0, cache=False))
+        await service.start()
+        try:
+            return [
+                await service.dispatch(
+                    Request(method, path, path, {}, {}, payload)
+                )
+                for method, path, payload in requests
+            ]
+        finally:
+            await service.shutdown()
+
+    return asyncio.run(harness())
+
+
 class TestErrorMapping:
     def test_unknown_dataset_404(self, service_runner):
         async def scenario(service, client):
@@ -100,35 +130,23 @@ class TestErrorMapping:
         dataset route, like any other unusable store."""
         freeze_dataset(tmp_path, "broken", seed=11)
         damage_sidecar(tmp_path / "broken" / "groups.json", damage)
-        body = json.dumps(
-            {"groups": [{"name": "adhoc", "members": [0, 1, 2]}]}
-        ).encode("utf-8")
-        requests = [
-            ("GET", "/v1/datasets/broken", b""),
-            ("GET", "/v1/datasets/broken/groups", b""),
-            ("GET", "/v1/datasets/broken/score", b""),
-            ("POST", "/v1/datasets/broken/score", body),
-        ]
-
-        async def harness():
-            service = CircleService(
-                ServiceConfig(root=tmp_path, port=0, cache=False)
-            )
-            await service.start()
-            try:
-                return [
-                    await service.dispatch(
-                        Request(method, path, path, {}, {}, payload)
-                    )
-                    for method, path, payload in requests
-                ]
-            finally:
-                await service.shutdown()
-
-        for response in asyncio.run(harness()):
+        for response in _dispatch_broken_routes(tmp_path):
             assert response.status == 404
             message = json.loads(response.body)["error"]["message"]
             assert "unknown dataset" in message and "groups.json" in message
+
+    @pytest.mark.parametrize("damage", sorted(STORE_DAMAGES))
+    def test_damaged_store_metadata_is_an_unknown_dataset(
+        self, tmp_path, damage
+    ):
+        """A missing array file or a damaged ``meta.json`` answers 404
+        naming the file on every dataset route, not a 500."""
+        freeze_dataset(tmp_path, "broken", seed=11)
+        name = damage_store(tmp_path / "broken", damage)
+        for response in _dispatch_broken_routes(tmp_path):
+            assert response.status == 404
+            message = json.loads(response.body)["error"]["message"]
+            assert "unknown dataset" in message and name in message
 
     def test_malformed_group_list_400(self, service_runner):
         async def scenario(service, client):

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.engine import AnalysisContext, batch_group_stats_columns
 from repro.scoring import Conductance
 from repro.synth.community_graph import (
     CommunityGraphConfig,
@@ -87,12 +88,11 @@ class TestGeneration:
 
     def test_conductance_distribution_is_broad(self):
         graph, groups = generate_community_graph(SMALL_COMMUNITY_CONFIG, seed=6)
-        conductance = Conductance()
-        values = [
-            conductance(compute_group_stats(graph, group.members))
-            for group in groups
-        ]
-        assert max(values) - min(values) > 0.3  # LJ's near-uniform spread
+        batch = batch_group_stats_columns(
+            AnalysisContext(graph), [group.members for group in groups]
+        )
+        values = Conductance().score_batch(batch)
+        assert values.max() - values.min() > 0.3  # LJ's near-uniform spread
 
     def test_zero_background_allowed(self):
         config = dataclasses.replace(SMALL_COMMUNITY_CONFIG, background_degree=0.0)

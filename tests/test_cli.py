@@ -12,6 +12,7 @@ import pytest
 
 from repro import cli
 from tests.data.sidecar_damage import DAMAGES, damage_sidecar
+from tests.engine.store_damage import STORE_DAMAGES, damage_store
 
 
 @pytest.fixture(autouse=True)
@@ -453,6 +454,25 @@ class TestOutOfCoreCommands:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == cold
         assert entry.read_bytes() == data
+
+    @pytest.mark.parametrize("damage", sorted(STORE_DAMAGES))
+    def test_damaged_store_metadata_exits_with_the_error(
+        self, tmp_path, scale_store, damage
+    ):
+        """A missing array file or a damaged ``meta.json`` ends the run
+        with a one-line message naming the file (exit status 1), not a
+        traceback."""
+        store = _store_copy(scale_store, tmp_path)
+        name = damage_store(store, damage)
+        for argv in (
+            ["score", "--mmap-dir", str(store)],
+            ["delta", "--mmap-dir", str(store), "--drop-edges", "1"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(argv)
+            message = excinfo.value.code
+            assert isinstance(message, str)
+            assert name in message and "\n" not in message
 
     @pytest.mark.parametrize("damage", sorted(DAMAGES))
     def test_damaged_sidecar_exits_with_the_error(

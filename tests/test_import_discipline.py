@@ -226,7 +226,7 @@ def test_batch_builds_members_on_first_read(small_digraph, two_cliques_graph):
         want = tuple(compute_group_stats(graph, g).members for g in groups)
         assert batch.members == want
         assert batch.members is batch.members
-        assert batch.row(1).members == want[1]
+        assert batch.members[1] == want[1]
 
 
 def test_lazy_exports_still_resolve():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.cdf import EmpiricalCDF
 from repro.analysis.stats import ks_two_sample, mann_whitney_u
-from repro.engine import AnalysisContext
+from repro.engine import AnalysisContext, batch_group_stats_columns
 from repro.graph.ugraph import Graph
 from repro.nullmodel.configuration import configuration_model
 from repro.nullmodel.degree_sequence import is_graphical
@@ -21,7 +21,6 @@ from repro.scoring.registry import make_all_functions
 
 from oracles.random_sets import bfs_ball_set, forest_fire_set, uniform_vertex_set
 from oracles.random_walk import random_walk_set
-from oracles.stats import compute_group_stats
 
 
 @st.composite
@@ -106,12 +105,17 @@ class TestScoringBounds:
                 unique=True,
             )
         )
-        # FOMD needs the graph-wide median up front: GroupStats carries no
+        # FOMD needs the graph-wide median up front: a batch carries no
         # graph reference, so the median cannot be derived on demand.
-        median = AnalysisContext(graph).median_degree
-        stats = compute_group_stats(graph, members, graph_median_degree=median)
+        context = AnalysisContext(graph)
+        batch = batch_group_stats_columns(
+            context,
+            [members],
+            graph_median_degree=context.median_degree,
+            include_internal_adjacency=True,
+        )
         for function in make_all_functions():
-            value = function(stats)
+            (value,) = function.score_batch(batch).tolist()
             assert not np.isnan(value), function.name
             if function.name in (
                 "conductance",
